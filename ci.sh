@@ -24,17 +24,13 @@ if [[ $fast -eq 0 ]]; then
     cargo build --release
 fi
 
-echo "== cargo test (AIMS_THREADS=1, serial execution layer) =="
-AIMS_THREADS=1 cargo test -q
+# Every crate's tests, not just the root package's, under both widths of
+# the execution layer (the service's fan-out included).
+echo "== cargo test --workspace (AIMS_THREADS=1, serial execution layer) =="
+AIMS_THREADS=1 cargo test --workspace -q
 
-echo "== cargo test (AIMS_THREADS=4, pooled execution layer) =="
-AIMS_THREADS=4 cargo test -q
-
-echo "== service tests (AIMS_THREADS=1, serial fan-out) =="
-AIMS_THREADS=1 cargo test -q -p aims-service
-
-echo "== service tests (AIMS_THREADS=4, pooled fan-out) =="
-AIMS_THREADS=4 cargo test -q -p aims-service
+echo "== cargo test --workspace (AIMS_THREADS=4, pooled execution layer) =="
+AIMS_THREADS=4 cargo test --workspace -q
 
 echo "== fault matrix (pinned seed 13) =="
 AIMS_FAULT_SEED=13 cargo test -q --test fault_matrix

@@ -6,7 +6,7 @@
 //! so request/reply helpers never drop a frame.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -65,8 +65,41 @@ pub struct RemoteOutcome {
 
 /// A blocking wire-protocol client over one TCP connection.
 pub struct TcpClient {
+    /// Write side: one write per frame.
     stream: TcpStream,
+    /// Read side: a buffered clone of the socket, so a burst of frames
+    /// costs one read syscall instead of two per frame.
+    reader: BufReader<TcpStream>,
     buffered: VecDeque<ClientEvent>,
+}
+
+/// The event a server frame carries; any other frame is handed back.
+fn event(frame: Frame) -> Result<ClientEvent, Frame> {
+    match frame {
+        Frame::Progress { req_id, kind, round, used, total, estimate, bound, tier } => {
+            Ok(ClientEvent::Progress {
+                req_id,
+                kind,
+                refinement: Refinement {
+                    round,
+                    coefficients_used: used as usize,
+                    total_coefficients: total as usize,
+                    estimate,
+                    error_bound: bound,
+                    tier,
+                },
+            })
+        }
+        Frame::Reject { req_id, code, detail, message } => {
+            Ok(ClientEvent::Reject { req_id, code, detail, message })
+        }
+        Frame::Profile { req_id, profile } => Ok(ClientEvent::Profile { req_id, profile }),
+        other => Err(other),
+    }
+}
+
+fn unexpected(frame: Frame) -> ServiceError {
+    ServiceError::Protocol(format!("unexpected frame from server: {frame:?}"))
 }
 
 impl TcpClient {
@@ -74,7 +107,8 @@ impl TcpClient {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<TcpClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(TcpClient { stream, buffered: VecDeque::new() })
+        let reader = BufReader::new(stream.try_clone()?);
+        Ok(TcpClient { stream, reader, buffered: VecDeque::new() })
     }
 
     /// Sets the read timeout used by the event helpers.
@@ -105,34 +139,11 @@ impl TcpClient {
             return Ok(e);
         }
         loop {
-            match read_frame(&mut self.stream)? {
-                Frame::Progress { req_id, kind, round, used, total, estimate, bound, tier } => {
-                    return Ok(ClientEvent::Progress {
-                        req_id,
-                        kind,
-                        refinement: Refinement {
-                            round,
-                            coefficients_used: used as usize,
-                            total_coefficients: total as usize,
-                            estimate,
-                            error_bound: bound,
-                            tier,
-                        },
-                    });
-                }
-                Frame::Reject { req_id, code, detail, message } => {
-                    return Ok(ClientEvent::Reject { req_id, code, detail, message });
-                }
-                Frame::Profile { req_id, profile } => {
-                    return Ok(ClientEvent::Profile { req_id, profile });
-                }
+            match event(read_frame(&mut self.reader)?) {
+                Ok(e) => return Ok(e),
                 // Stray replies to an earlier request: ignore.
-                Frame::MetricsReply { .. } | Frame::Goodbye => continue,
-                other => {
-                    return Err(ServiceError::Protocol(format!(
-                        "unexpected frame from server: {other:?}"
-                    )));
-                }
+                Err(Frame::MetricsReply { .. } | Frame::Goodbye) => continue,
+                Err(other) => return Err(unexpected(other)),
             }
         }
     }
@@ -143,34 +154,11 @@ impl TcpClient {
     pub fn metrics(&mut self) -> Result<String, ServiceError> {
         write_frame(&mut self.stream, &Frame::MetricsRequest)?;
         loop {
-            match read_frame(&mut self.stream)? {
-                Frame::MetricsReply { json } => return Ok(json),
-                Frame::Progress { req_id, kind, round, used, total, estimate, bound, tier } => {
-                    self.buffered.push_back(ClientEvent::Progress {
-                        req_id,
-                        kind,
-                        refinement: Refinement {
-                            round,
-                            coefficients_used: used as usize,
-                            total_coefficients: total as usize,
-                            estimate,
-                            error_bound: bound,
-                            tier,
-                        },
-                    });
-                }
-                Frame::Reject { req_id, code, detail, message } => {
-                    self.buffered.push_back(ClientEvent::Reject { req_id, code, detail, message });
-                }
-                Frame::Profile { req_id, profile } => {
-                    self.buffered.push_back(ClientEvent::Profile { req_id, profile });
-                }
-                Frame::Goodbye => continue,
-                other => {
-                    return Err(ServiceError::Protocol(format!(
-                        "unexpected frame from server: {other:?}"
-                    )));
-                }
+            match event(read_frame(&mut self.reader)?) {
+                Ok(e) => self.buffered.push_back(e),
+                Err(Frame::MetricsReply { json }) => return Ok(json),
+                Err(Frame::Goodbye) => continue,
+                Err(other) => return Err(unexpected(other)),
             }
         }
     }
@@ -179,20 +167,11 @@ impl TcpClient {
     pub fn shutdown_server(&mut self) -> Result<(), ServiceError> {
         write_frame(&mut self.stream, &Frame::Shutdown)?;
         loop {
-            match read_frame(&mut self.stream)? {
-                Frame::Goodbye => return Ok(()),
+            match event(read_frame(&mut self.reader)?) {
+                Err(Frame::Goodbye) => return Ok(()),
                 // Drain any in-flight refinements racing the goodbye.
-                Frame::Progress { .. }
-                | Frame::Reject { .. }
-                | Frame::MetricsReply { .. }
-                | Frame::Profile { .. } => {
-                    continue;
-                }
-                other => {
-                    return Err(ServiceError::Protocol(format!(
-                        "unexpected frame from server: {other:?}"
-                    )));
-                }
+                Ok(_) | Err(Frame::MetricsReply { .. }) => continue,
+                Err(other) => return Err(unexpected(other)),
             }
         }
     }

@@ -1,17 +1,22 @@
-//! TCP front-end: one listener, one reader thread per connection, one
-//! [`QueryService`] (and its worker pool) shared across all of them.
+//! TCP front-end: one listener, a reader and a writer thread per
+//! connection (none per query), one [`QueryService`] shared by all.
 //!
-//! Each connection demultiplexes client frames: SUBMIT goes through the
-//! service's admission path (a rejection comes back as a typed REJECT
-//! frame, never a dropped connection), and every accepted session gets a
-//! forwarder thread pumping its refinements into the connection's shared
-//! writer. CANCEL flips the session's cancel flag — the scheduler stops
-//! fetching its blocks. SHUTDOWN answers GOODBYE and stops the listener.
+//! The reader parses client frames from a buffered socket (one read
+//! syscall per burst). SUBMIT goes through admission into the
+//! connection's one outbox, tagged with the client's request id; a
+//! rejection comes back as a typed REJECT frame. CANCEL flips the
+//! session's cancel flag, so the scheduler stops fetching its blocks.
+//! SHUTDOWN answers GOODBYE and stops the listener. The writer blocks on
+//! the outbox and sends every ready update in one write. Sockets set
+//! `TCP_NODELAY`: Nagle's algorithm never holds a frame for the client's
+//! next ACK. The reader's own replies share the socket lock, one write
+//! each.
 
 use std::collections::HashMap;
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -20,10 +25,9 @@ use aims_storage::device::BlockDevice;
 use aims_telemetry::global;
 
 use crate::error::ServiceError;
-use crate::qos::Tier;
 use crate::service::QueryService;
-use crate::session::{QuerySpec, Refinement, SessionHandle, Update};
-use crate::wire::{write_frame, Frame, ProgressKind, MAX_FRAME};
+use crate::session::{Outbox, QuerySpec, SessionControl, Update};
+use crate::wire::{Frame, MAX_FRAME};
 
 /// How often blocked reads wake up to check the stop flag.
 const POLL: Duration = Duration::from_millis(25);
@@ -122,17 +126,28 @@ fn accept_loop<D: BlockDevice + Send + Sync + 'static>(
                 break;
             }
         }
+        // Reap closed connections, so a long-lived server holds only
+        // live ones.
+        let (done, open) = workers.into_iter().partition(|h| h.is_finished());
+        workers = open;
+        reap(done);
     }
     stop.store(true, Ordering::SeqCst);
-    for h in workers {
-        h.join().ok();
+    reap(workers);
+}
+
+fn reap(threads: Vec<JoinHandle<()>>) {
+    for h in threads {
+        if h.join().is_err() {
+            eprintln!("aims-serve: connection thread panicked");
+        }
     }
 }
 
 /// Reads `buf.len()` bytes, tolerating read-timeout wakeups so the stop
 /// flag stays responsive. `Ok(false)` means the peer closed (or stop was
 /// requested) cleanly *before* any byte of `buf` arrived.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> io::Result<bool> {
+fn read_full(stream: &mut impl Read, buf: &mut [u8], stop: &AtomicBool) -> io::Result<bool> {
     let mut read = 0usize;
     while read < buf.len() {
         match stream.read(&mut buf[read..]) {
@@ -157,7 +172,7 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> io::R
 }
 
 /// Reads one frame; `Ok(None)` on clean disconnect or stop.
-fn read_frame_polled(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Option<Frame>> {
+fn read_frame_polled(stream: &mut impl Read, stop: &AtomicBool) -> io::Result<Option<Frame>> {
     let mut len = [0u8; 4];
     if !read_full(stream, &mut len, stop)? {
         return Ok(None);
@@ -175,125 +190,109 @@ fn read_frame_polled(stream: &mut TcpStream, stop: &AtomicBool) -> io::Result<Op
         .map_err(|e| io::Error::new(ErrorKind::InvalidData, e.to_string()))
 }
 
-fn send(writer: &Mutex<TcpStream>, frame: &Frame) -> io::Result<()> {
-    let mut w = writer.lock().unwrap();
-    write_frame(&mut *w, frame).map_err(|e| match e {
-        ServiceError::Io(io) => io,
-        other => io::Error::other(other.to_string()),
-    })
+/// Sends one reply frame from the reader, in one write.
+fn send(out: &Mutex<TcpStream>, frame: &Frame) -> io::Result<()> {
+    let mut buf = Vec::new();
+    frame.encode_into(&mut buf);
+    out.lock().expect(OUT_POISONED).write_all(&buf)
 }
 
-fn progress_frame(req_id: u64, kind: ProgressKind, r: Option<Refinement>) -> Frame {
-    let r = r.unwrap_or(Refinement {
-        round: 0,
-        coefficients_used: 0,
-        total_coefficients: 0,
-        estimate: 0.0,
-        error_bound: f64::INFINITY,
-        tier: Tier::Normal,
-    });
-    Frame::Progress {
-        req_id,
-        kind,
-        round: r.round,
-        used: r.coefficients_used as u64,
-        total: r.total_coefficients as u64,
-        estimate: r.estimate,
-        bound: r.error_bound,
-        tier: r.tier,
+/// A connection's live sessions, keyed by the client's request id.
+type Live = Mutex<HashMap<u64, SessionControl>>;
+
+const LIVE_POISONED: &str = "a connection thread panicked holding its session table";
+const OUT_POISONED: &str = "a connection thread panicked while writing";
+
+fn cancel_all(live: &Live) {
+    for session in live.lock().expect(LIVE_POISONED).values() {
+        session.cancel();
     }
 }
 
-/// Pumps one session's updates into the connection writer.
+/// The connection's one writer: blocks on the outbox, encodes every
+/// ready update into one buffer, and sends the batch in one write.
 ///
-/// The session channel itself is the buffer here, and the scheduler caps
-/// it: a stalled TCP peer leaves updates undelivered, the session's
-/// outbox fills, and the scheduler drops further intermediate
-/// refinements (`service.backpressure.dropped_progress`) rather than
-/// buffering without bound. Terminal frames are never dropped.
-fn forward_session(req_id: u64, handle: SessionHandle, writer: Arc<Mutex<TcpStream>>) {
-    loop {
-        let frame = match handle.next() {
-            Some(Update::Progress(r)) => progress_frame(req_id, ProgressKind::Progress, Some(r)),
-            Some(Update::Done(r)) => progress_frame(req_id, ProgressKind::Done, Some(r)),
-            Some(Update::DeadlineExpired(r)) => {
-                progress_frame(req_id, ProgressKind::DeadlineExpired, Some(r))
+/// Taking a progress update releases its session's outbox slot, so a
+/// stalled peer blocks this thread, the outboxes fill, and the scheduler
+/// drops intermediate refinements (`service.backpressure.dropped_progress`)
+/// instead of buffering without bound; terminals are never dropped.
+/// Returns once the reader and every session have dropped their senders,
+/// or after a failed write, which cancels every live session.
+fn write_loop(updates: &Receiver<(u64, Update)>, out: &Mutex<TcpStream>, live: &Live) {
+    let mut buf = Vec::new();
+    while let Ok(first) = updates.recv() {
+        buf.clear();
+        {
+            let mut live = live.lock().expect(LIVE_POISONED);
+            for (req_id, update) in std::iter::once(first).chain(updates.try_iter()) {
+                if let Some(session) = live.get(&req_id) {
+                    session.received(&update);
+                }
+                if !matches!(update, Update::Progress(_) | Update::Profile(_)) {
+                    live.remove(&req_id);
+                }
+                Frame::from_update(req_id, update).encode_into(&mut buf);
             }
-            Some(Update::Shed(r)) => progress_frame(req_id, ProgressKind::Shed, Some(r)),
-            Some(Update::Cancelled) => progress_frame(req_id, ProgressKind::Cancelled, None),
-            Some(Update::Profile(p)) => Frame::Profile { req_id, profile: *p },
-            // Channel closed without a terminal update (service
-            // shutdown): report it as a cancellation.
-            None => progress_frame(req_id, ProgressKind::Cancelled, None),
-        };
-        let terminal = matches!(&frame, Frame::Progress { kind, .. } if kind.is_terminal());
-        if send(&writer, &frame).is_err() {
-            // Writer gone ⇒ the client left; stop the query's I/O too.
-            handle.cancel();
-            return;
         }
-        if terminal {
+        if out.lock().expect(OUT_POISONED).write_all(&buf).is_err() {
+            // The client left; stop its queries' I/O too.
+            cancel_all(live);
             return;
         }
     }
 }
 
 fn serve_connection<D: BlockDevice + Send + Sync + 'static>(
-    mut stream: TcpStream,
+    stream: TcpStream,
     service: Arc<QueryService<D>>,
     stop: Arc<AtomicBool>,
 ) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(POLL))?;
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut cancels: HashMap<u64, Arc<AtomicBool>> = HashMap::new();
-    let mut forwarders: Vec<JoinHandle<()>> = Vec::new();
+    let out = Arc::new(Mutex::new(stream.try_clone()?));
+    let live = Arc::new(Live::default());
+    let (outbox, updates): (Outbox, _) = mpsc::channel();
+    let writer = {
+        let (out, live) = (Arc::clone(&out), Arc::clone(&live));
+        std::thread::Builder::new()
+            .name("aims-serve-write".into())
+            .spawn(move || write_loop(&updates, &out, &live))?
+    };
+    let mut reader = BufReader::new(&stream);
     let result = loop {
-        let frame = match read_frame_polled(&mut stream, &stop) {
+        let frame = match read_frame_polled(&mut reader, &stop) {
             Ok(Some(f)) => f,
             Ok(None) => break Ok(()),
             Err(e) => break Err(e),
         };
         match frame {
             Frame::Submit { req_id, priority, deadline_ms, ranges, trace } => {
-                let mut spec = QuerySpec {
+                let spec = QuerySpec {
                     ranges: ranges.iter().map(|&(lo, hi)| (lo as usize, hi as usize)).collect(),
                     priority,
-                    deadline: None,
+                    deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
                     trace,
                 };
-                if deadline_ms > 0 {
-                    spec.deadline = Some(Duration::from_millis(deadline_ms));
-                }
-                match service.submit(spec) {
-                    Ok(handle) => {
-                        cancels.insert(req_id, Arc::clone(&handle.cancel));
-                        let writer = Arc::clone(&writer);
-                        let forwarder = std::thread::Builder::new()
-                            .name("aims-serve-fwd".into())
-                            .spawn(move || forward_session(req_id, handle, writer))
-                            .expect("failed to spawn forwarder");
-                        forwarders.push(forwarder);
-                    }
-                    Err(e) => {
-                        let detail = match &e {
-                            ServiceError::QueueFull { capacity } => *capacity as u32,
-                            _ => 0,
-                        };
-                        let reject = Frame::Reject {
-                            req_id,
-                            code: e.code(),
-                            detail,
-                            message: e.to_string(),
-                        };
-                        if let Err(io) = send(&writer, &reject) {
-                            break Err(io);
-                        }
+                // Registered before submission: the writer may take the
+                // session's first update before `submit_to` returns.
+                let control = SessionControl::default();
+                live.lock().expect(LIVE_POISONED).insert(req_id, control.clone());
+                if let Err(e) = service.submit_to(spec, outbox.clone(), req_id, control) {
+                    live.lock().expect(LIVE_POISONED).remove(&req_id);
+                    let detail = match &e {
+                        ServiceError::QueueFull { capacity } => *capacity as u32,
+                        _ => 0,
+                    };
+                    let reject =
+                        Frame::Reject { req_id, code: e.code(), detail, message: e.to_string() };
+                    if let Err(io) = send(&out, &reject) {
+                        break Err(io);
                     }
                 }
             }
             Frame::Cancel { req_id } => {
-                if let Some(flag) = cancels.get(&req_id) {
-                    flag.store(true, Ordering::SeqCst);
+                if let Some(session) = live.lock().expect(LIVE_POISONED).get(&req_id) {
+                    session.cancel();
                 }
             }
             Frame::MetricsRequest => {
@@ -301,12 +300,12 @@ fn serve_connection<D: BlockDevice + Send + Sync + 'static>(
                 // — structured JSON; clients render tables themselves.
                 let mut json = global().snapshot().to_json_lines();
                 json.push_str(&service.sessions_json_lines());
-                if let Err(io) = send(&writer, &Frame::MetricsReply { json }) {
+                if let Err(io) = send(&out, &Frame::MetricsReply { json }) {
                     break Err(io);
                 }
             }
             Frame::Shutdown => {
-                let _ = send(&writer, &Frame::Goodbye);
+                let _ = send(&out, &Frame::Goodbye);
                 stop.store(true, Ordering::SeqCst);
                 break Ok(());
             }
@@ -321,13 +320,13 @@ fn serve_connection<D: BlockDevice + Send + Sync + 'static>(
         }
     };
     // A vanished client must not leak running queries.
-    for flag in cancels.values() {
-        if result.is_err() || stop.load(Ordering::SeqCst) {
-            flag.store(true, Ordering::SeqCst);
-        }
+    if result.is_err() || stop.load(Ordering::SeqCst) {
+        cancel_all(&live);
     }
-    for f in forwarders {
-        f.join().ok();
+    // The writer drains until every session has sent its terminal.
+    drop(outbox);
+    if writer.join().is_err() {
+        eprintln!("aims-serve: connection writer panicked");
     }
     let _ = stream.shutdown(std::net::Shutdown::Both);
     result

@@ -41,8 +41,7 @@
 //! scheduler policy — only I/O order and counts change.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -58,7 +57,7 @@ use crate::admission::{AdmissionController, Priority};
 use crate::error::ServiceError;
 use crate::profile::{QueryProfile, SlowQueryEntry, SlowQueryLog, SlowReason, TrajectoryPoint};
 use crate::qos::{self, DegradeController, QosConfig, SchedulerPolicy, Tier, TierChange};
-use crate::session::{QuerySpec, Refinement, SessionHandle, Update};
+use crate::session::{Outbox, QuerySpec, Refinement, SessionControl, SessionHandle, Update};
 
 /// Tuning knobs for a [`QueryService`].
 #[derive(Clone, Debug)]
@@ -206,10 +205,11 @@ struct Ticket {
     gain_suffix: Arc<Vec<f64>>,
     /// Scheduling class (utility weight and tier softening).
     priority: Priority,
-    tx: Sender<Update>,
-    cancel: Arc<AtomicBool>,
-    /// Undelivered progress updates; shared with the [`SessionHandle`].
-    pending: Arc<AtomicUsize>,
+    /// Where updates go, each tagged with `tag`.
+    tx: Outbox,
+    tag: u64,
+    /// Cancel flag and outbox-slot count; shared with the consumer.
+    control: SessionControl,
     deadline: Option<Instant>,
     /// Disabled for untraced queries — cloning and event calls are then
     /// free (a `None` word).
@@ -304,7 +304,7 @@ impl ActiveQuery {
     }
 
     fn cancelled(&self) -> bool {
-        self.ticket.cancel.load(Ordering::SeqCst)
+        self.ticket.control.is_cancelled()
     }
 
     /// Whether `block` lies in this round's granted prefix
@@ -337,8 +337,8 @@ impl ActiveQuery {
     /// Sends an update; a dropped receiver flips the cancel flag so the
     /// next cull stops fetching on this query's behalf.
     fn emit(&self, update: Update) {
-        if self.ticket.tx.send(update).is_err() {
-            self.ticket.cancel.store(true, Ordering::SeqCst);
+        if self.ticket.tx.send((self.ticket.tag, update)).is_err() {
+            self.ticket.control.cancel();
         }
     }
 
@@ -346,10 +346,9 @@ impl ActiveQuery {
     /// backpressure for consumers that stopped draining. Returns whether
     /// the update was sent.
     fn emit_progress(&self, refinement: Refinement, outbox: usize) -> bool {
-        if self.ticket.pending.load(Ordering::SeqCst) >= outbox {
+        if !self.ticket.control.try_reserve(outbox) {
             return false;
         }
-        self.ticket.pending.fetch_add(1, Ordering::SeqCst);
         self.emit(Update::Progress(refinement));
         true
     }
@@ -582,6 +581,24 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
     /// shutting down, malformed ranges. Never blocks, never panics on
     /// overload.
     pub fn submit(&self, spec: QuerySpec) -> Result<SessionHandle, ServiceError> {
+        let (tx, rx) = mpsc::channel();
+        let control = SessionControl::default();
+        let id = self.submit_to(spec, tx, 0, control.clone())?;
+        Ok(SessionHandle { id, rx, control })
+    }
+
+    /// Like [`QueryService::submit`], but the session's updates go into
+    /// a caller-owned `outbox`, tagged with `tag`, so one consumer can
+    /// drain many sessions from one channel. The caller keeps `control`
+    /// to cancel the session and must [`SessionControl::received`] every
+    /// update it takes. Returns the session id.
+    pub(crate) fn submit_to(
+        &self,
+        spec: QuerySpec,
+        outbox: Outbox,
+        tag: u64,
+        control: SessionControl,
+    ) -> Result<u64, ServiceError> {
         let t = service_telemetry();
         if self.inner.shutdown.load(Ordering::SeqCst) {
             t.rejected.inc();
@@ -631,9 +648,6 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
                 ("coefficients", AttrValue::U64(prepared.nnz() as u64)),
             ],
         );
-        let (tx, rx) = mpsc::channel();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let pending = Arc::new(AtomicUsize::new(0));
         let submitted_at = Instant::now();
         let total_coefficients = prepared.nnz() as u64;
         let ticket = Ticket {
@@ -643,9 +657,9 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
             plan_gain: Arc::new(plan_gain),
             gain_suffix: Arc::new(gain_suffix),
             priority: spec.priority,
-            tx,
-            cancel: Arc::clone(&cancel),
-            pending: Arc::clone(&pending),
+            tx: outbox,
+            tag,
+            control,
             deadline: spec.deadline.map(|d| submitted_at + d),
             trace,
             submitted_at,
@@ -670,7 +684,7 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
         match self.inner.admission.submit(ticket, spec.priority) {
             Ok(()) => {
                 t.submitted.inc();
-                Ok(SessionHandle { id, rx, cancel, pending })
+                Ok(id)
             }
             Err(e) => {
                 self.inner.sessions.lock().unwrap().remove(&id);
@@ -700,8 +714,10 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
     }
 
     /// Stops accepting work, finishes in-flight sessions, and joins the
-    /// scheduler. Queued-but-unstarted tickets are dropped (their
-    /// sessions observe `Disconnected`). Idempotent.
+    /// scheduler. Queued-but-unstarted tickets are dropped, each with an
+    /// [`Update::Cancelled`] terminal, so every session — in-process or
+    /// on a shared wire outbox — still ends with a terminal update.
+    /// Idempotent.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         let dropped = self.inner.admission.close();
@@ -711,7 +727,9 @@ impl<D: BlockDevice + Send + Sync + 'static> QueryService<D> {
                 sessions.remove(&ticket.id);
             }
         }
-        drop(dropped);
+        for ticket in dropped {
+            ticket.tx.send((ticket.tag, Update::Cancelled)).ok();
+        }
         if let Some(handle) = self.scheduler.lock().unwrap().take() {
             handle.join().expect("service scheduler panicked");
         }
@@ -1270,12 +1288,58 @@ mod tests {
     }
 
     #[test]
+    fn sessions_sharing_one_outbox_arrive_tagged_and_exact() {
+        let svc = service(ServiceConfig { progress_outbox: 2, ..ServiceConfig::default() });
+        let (tx, rx) = mpsc::channel();
+        let specs = [vec![(0, 31), (0, 31)], vec![(3, 20), (5, 29)]];
+        let controls: Vec<SessionControl> = specs
+            .iter()
+            .enumerate()
+            .map(|(tag, ranges)| {
+                let control = SessionControl::default();
+                let spec = QuerySpec::interactive(ranges.clone());
+                svc.submit_to(spec, tx.clone(), tag as u64, control.clone()).unwrap();
+                control
+            })
+            .collect();
+        drop(tx);
+        let mut done = [None; 2];
+        for (tag, update) in rx.iter() {
+            controls[tag as usize].received(&update);
+            match update {
+                Update::Progress(_) => assert!(done[tag as usize].is_none()),
+                Update::Done(r) => done[tag as usize] = Some(r.estimate),
+                other => panic!("unexpected update {other:?}"),
+            }
+        }
+        for (ranges, estimate) in specs.into_iter().zip(done) {
+            let p = svc.engine().prepare(&RangeSumQuery::count(ranges));
+            let expect = svc.engine().evaluate_prepared(&p);
+            assert_eq!(estimate.expect("every session ends Done").to_bits(), expect.to_bits());
+        }
+    }
+
+    #[test]
+    fn shutdown_cancels_queued_sessions_with_a_terminal_update() {
+        let svc = service(ServiceConfig {
+            admission_warmup: Duration::from_millis(200),
+            ..ServiceConfig::default()
+        });
+        let h = svc.submit(QuerySpec::interactive(vec![(0, 31), (0, 31)])).unwrap();
+        svc.shutdown();
+        assert!(matches!(h.wait(), Outcome::Cancelled));
+    }
+
+    #[test]
     fn queue_overload_is_a_typed_rejection_not_a_hang() {
         let svc = service(ServiceConfig {
             queue_capacity: 2,
             max_batch: 1,
             round_blocks: 1,
             idle_wait: Duration::from_millis(1),
+            // Hold round 1 until the whole flood has landed, so the
+            // scheduler cannot drain the queue as fast as it fills.
+            admission_warmup: Duration::from_millis(250),
             ..ServiceConfig::default()
         });
         // Flood far past capacity; every failure must be QueueFull.

@@ -2,7 +2,7 @@
 //! caller polls while the scheduler refines their answer.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -86,7 +86,7 @@ impl Refinement {
 pub enum Update {
     /// A refinement; more will follow.
     Progress(Refinement),
-    /// The final answer; the channel closes after this.
+    /// The final answer; the session sends nothing after this.
     Done(Refinement),
     /// The deadline passed; this is the best estimate at expiry.
     DeadlineExpired(Refinement),
@@ -112,8 +112,9 @@ pub enum Outcome {
     Shed(Refinement),
     /// Cancelled mid-flight.
     Cancelled,
-    /// The service dropped the session without a terminal update
-    /// (shutdown drained the queue).
+    /// The outbox closed without a terminal update — only if the
+    /// scheduler died; shutdown delivers [`Update::Cancelled`] to every
+    /// session it drops from the queue.
     Disconnected,
 }
 
@@ -122,29 +123,75 @@ pub enum Outcome {
 pub enum Polled {
     /// An update arrived.
     Update(Update),
-    /// The channel closed (after a terminal update, or on shutdown).
+    /// The outbox closed (after a terminal update).
     Closed,
     /// Nothing arrived within the timeout.
     TimedOut,
 }
 
-/// The caller's side of a submitted query.
+/// Where a session's updates go: an unbounded channel of updates tagged
+/// with a caller-chosen key. A [`SessionHandle`] owns a channel of its
+/// own; a TCP connection shares one across all its sessions and tags each
+/// with the client's request id.
+pub(crate) type Outbox = Sender<(u64, Update)>;
+
+/// The shared controls of one session: its cancel flag and its count of
+/// undelivered progress updates.
+///
+/// The scheduler stops sending progress updates once the count reaches
+/// `ServiceConfig::progress_outbox`, dropping intermediate refinements
+/// for consumers that fall behind (terminal updates and profiles are
+/// never dropped). Whoever drains the outbox must therefore call
+/// [`SessionControl::received`] for every update it takes.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SessionControl {
+    cancel: Arc<AtomicBool>,
+    pending: Arc<AtomicUsize>,
+}
+
+impl SessionControl {
+    /// Requests cancellation. Idempotent; the scheduler stops fetching
+    /// blocks this query needed and emits [`Update::Cancelled`].
+    pub(crate) fn cancel(&self) {
+        self.cancel.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether cancellation has been requested.
+    pub(crate) fn is_cancelled(&self) -> bool {
+        self.cancel.load(Ordering::SeqCst)
+    }
+
+    /// Releases the outbox slot a progress update held; other updates
+    /// never occupy one.
+    pub(crate) fn received(&self, u: &Update) {
+        if matches!(u, Update::Progress(_)) {
+            self.pending.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Claims an outbox slot for a progress update unless `cap` are
+    /// already taken.
+    pub(crate) fn try_reserve(&self, cap: usize) -> bool {
+        if self.pending.load(Ordering::SeqCst) >= cap {
+            return false;
+        }
+        self.pending.fetch_add(1, Ordering::SeqCst);
+        true
+    }
+}
+
+/// The caller's side of a submitted query: the receiving end of an
+/// outbox of its own, plus the session's controls.
 ///
 /// Updates arrive on an unbounded channel so a slow consumer never stalls
-/// the scheduler — but the scheduler caps the number of *undelivered*
-/// progress updates per session (`ServiceConfig::progress_outbox`),
-/// dropping intermediate refinements for consumers that fall behind
-/// (terminal updates and profiles are never dropped). Dropping the handle
-/// implicitly cancels the query: the scheduler notices the closed
-/// channel-or-cancel flag and stops fetching blocks on its behalf.
+/// the scheduler; the outbox cap bounds what piles up. Dropping the
+/// handle implicitly cancels the query: the scheduler notices the closed
+/// channel and stops fetching blocks on its behalf.
 #[derive(Debug)]
 pub struct SessionHandle {
     pub(crate) id: u64,
-    pub(crate) rx: Receiver<Update>,
-    pub(crate) cancel: Arc<AtomicBool>,
-    /// Progress updates sent but not yet received; shared with the
-    /// scheduler's emit path, which stops sending at the outbox cap.
-    pub(crate) pending: Arc<AtomicUsize>,
+    pub(crate) rx: Receiver<(u64, Update)>,
+    pub(crate) control: SessionControl,
 }
 
 impl SessionHandle {
@@ -156,40 +203,31 @@ impl SessionHandle {
     /// Requests cancellation. Idempotent; the scheduler stops fetching
     /// blocks this query needed and emits [`Update::Cancelled`].
     pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::SeqCst);
+        self.control.cancel();
     }
 
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
-        self.cancel.load(Ordering::SeqCst)
+        self.control.is_cancelled()
     }
 
     /// Blocks for the next update; `None` once the service closed the
-    /// channel (after a terminal update, or on shutdown).
+    /// outbox (after a terminal update).
     pub fn next(&self) -> Option<Update> {
-        let u = self.rx.recv().ok();
-        if let Some(u) = &u {
-            self.consumed(u);
-        }
-        u
+        let (_, u) = self.rx.recv().ok()?;
+        self.control.received(&u);
+        Some(u)
     }
 
     /// Like [`SessionHandle::next`] with a timeout.
     pub fn next_timeout(&self, timeout: Duration) -> Polled {
         match self.rx.recv_timeout(timeout) {
-            Ok(u) => {
-                self.consumed(&u);
+            Ok((_, u)) => {
+                self.control.received(&u);
                 Polled::Update(u)
             }
             Err(RecvTimeoutError::Disconnected) => Polled::Closed,
             Err(RecvTimeoutError::Timeout) => Polled::TimedOut,
-        }
-    }
-
-    /// Releases one outbox slot back to the scheduler's emit path.
-    fn consumed(&self, u: &Update) {
-        if matches!(u, Update::Progress(_)) {
-            self.pending.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -207,22 +245,19 @@ impl SessionHandle {
         let mut trace = Vec::new();
         let mut profile = None;
         loop {
-            match self.rx.recv() {
-                Ok(Update::Progress(r)) => {
-                    self.pending.fetch_sub(1, Ordering::SeqCst);
-                    trace.push(r);
-                }
-                Ok(Update::Profile(p)) => profile = Some(*p),
-                Ok(Update::Done(r)) => {
+            match self.next() {
+                Some(Update::Progress(r)) => trace.push(r),
+                Some(Update::Profile(p)) => profile = Some(*p),
+                Some(Update::Done(r)) => {
                     trace.push(r);
                     return (trace, Outcome::Done(r), profile);
                 }
-                Ok(Update::DeadlineExpired(r)) => {
+                Some(Update::DeadlineExpired(r)) => {
                     return (trace, Outcome::DeadlineExpired(r), profile);
                 }
-                Ok(Update::Shed(r)) => return (trace, Outcome::Shed(r), profile),
-                Ok(Update::Cancelled) => return (trace, Outcome::Cancelled, profile),
-                Err(_) => return (trace, Outcome::Disconnected, profile),
+                Some(Update::Shed(r)) => return (trace, Outcome::Shed(r), profile),
+                Some(Update::Cancelled) => return (trace, Outcome::Cancelled, profile),
+                None => return (trace, Outcome::Disconnected, profile),
             }
         }
     }
@@ -249,22 +284,19 @@ mod tests {
         }
     }
 
-    fn handle(id: u64, rx: Receiver<Update>) -> SessionHandle {
-        SessionHandle {
-            id,
-            rx,
-            cancel: Arc::new(AtomicBool::new(false)),
-            pending: Arc::new(AtomicUsize::new(usize::MAX / 2)),
-        }
+    fn handle(id: u64, rx: Receiver<(u64, Update)>) -> SessionHandle {
+        let control = SessionControl::default();
+        control.pending.store(usize::MAX / 2, Ordering::SeqCst);
+        SessionHandle { id, rx, control }
     }
 
     #[test]
     fn collect_gathers_trace_and_outcome() {
         let (tx, rx) = mpsc::channel();
         let handle = handle(7, rx);
-        tx.send(Update::Progress(refinement(1, 3))).unwrap();
-        tx.send(Update::Progress(refinement(2, 3))).unwrap();
-        tx.send(Update::Done(refinement(3, 3))).unwrap();
+        tx.send((0, Update::Progress(refinement(1, 3)))).unwrap();
+        tx.send((0, Update::Progress(refinement(2, 3)))).unwrap();
+        tx.send((0, Update::Done(refinement(3, 3)))).unwrap();
         drop(tx);
         let (trace, outcome) = handle.collect();
         assert_eq!(trace.len(), 3);
@@ -273,7 +305,7 @@ mod tests {
 
     #[test]
     fn dropped_sender_is_disconnected() {
-        let (tx, rx) = mpsc::channel::<Update>();
+        let (tx, rx) = mpsc::channel::<(u64, Update)>();
         let handle = handle(1, rx);
         drop(tx);
         assert!(matches!(handle.wait(), Outcome::Disconnected));
@@ -290,7 +322,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let handle = handle(3, rx);
         assert!(matches!(handle.next_timeout(Duration::from_millis(1)), Polled::TimedOut));
-        tx.send(Update::Cancelled).unwrap();
+        tx.send((0, Update::Cancelled)).unwrap();
         assert!(matches!(
             handle.next_timeout(Duration::from_millis(50)),
             Polled::Update(Update::Cancelled)
@@ -302,15 +334,12 @@ mod tests {
     #[test]
     fn progress_consumption_releases_outbox_slots() {
         let (tx, rx) = mpsc::channel();
-        let pending = Arc::new(AtomicUsize::new(2));
-        let handle = SessionHandle {
-            id: 4,
-            rx,
-            cancel: Arc::new(AtomicBool::new(false)),
-            pending: Arc::clone(&pending),
-        };
-        tx.send(Update::Progress(refinement(1, 3))).unwrap();
-        tx.send(Update::Shed(refinement(2, 3))).unwrap();
+        let control = SessionControl::default();
+        control.pending.store(2, Ordering::SeqCst);
+        let pending = Arc::clone(&control.pending);
+        let handle = SessionHandle { id: 4, rx, control };
+        tx.send((0, Update::Progress(refinement(1, 3)))).unwrap();
+        tx.send((0, Update::Shed(refinement(2, 3)))).unwrap();
         assert!(matches!(handle.next(), Some(Update::Progress(_))));
         assert_eq!(pending.load(Ordering::SeqCst), 1);
         // Terminal updates never occupy outbox slots.
@@ -322,8 +351,8 @@ mod tests {
     fn shed_collects_as_best_so_far_outcome() {
         let (tx, rx) = mpsc::channel();
         let handle = handle(9, rx);
-        tx.send(Update::Progress(refinement(1, 4))).unwrap();
-        tx.send(Update::Shed(refinement(2, 4))).unwrap();
+        tx.send((0, Update::Progress(refinement(1, 4)))).unwrap();
+        tx.send((0, Update::Shed(refinement(2, 4)))).unwrap();
         drop(tx);
         let (trace, outcome) = handle.collect();
         assert_eq!(trace.len(), 1);
@@ -339,16 +368,11 @@ mod tests {
 
     #[test]
     fn cancel_flag_is_shared() {
-        let (_tx, rx) = mpsc::channel::<Update>();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let handle = SessionHandle {
-            id: 2,
-            rx,
-            cancel: Arc::clone(&cancel),
-            pending: Arc::new(AtomicUsize::new(0)),
-        };
+        let (_tx, rx) = mpsc::channel::<(u64, Update)>();
+        let control = SessionControl::default();
+        let handle = SessionHandle { id: 2, rx, control: control.clone() };
         assert!(!handle.is_cancelled());
         handle.cancel();
-        assert!(cancel.load(Ordering::SeqCst));
+        assert!(control.is_cancelled());
     }
 }

@@ -40,6 +40,7 @@ use crate::admission::Priority;
 use crate::error::ServiceError;
 use crate::profile::{QueryProfile, TrajectoryPoint};
 use crate::qos::Tier;
+use crate::session::{Refinement, Update};
 
 /// Protocol generation implemented by this module. Version 3 added the
 /// shed PROGRESS kind and the PROGRESS degradation-tier byte, both
@@ -247,20 +248,67 @@ impl<'a> Body<'a> {
 }
 
 impl Frame {
+    /// The PROGRESS (or PROFILE) frame carrying one session update.
+    pub fn from_update(req_id: u64, update: Update) -> Frame {
+        let (kind, r) = match update {
+            Update::Profile(p) => return Frame::Profile { req_id, profile: *p },
+            Update::Progress(r) => (ProgressKind::Progress, r),
+            Update::Done(r) => (ProgressKind::Done, r),
+            Update::DeadlineExpired(r) => (ProgressKind::DeadlineExpired, r),
+            Update::Shed(r) => (ProgressKind::Shed, r),
+            Update::Cancelled => (
+                ProgressKind::Cancelled,
+                Refinement {
+                    round: 0,
+                    coefficients_used: 0,
+                    total_coefficients: 0,
+                    estimate: 0.0,
+                    error_bound: f64::INFINITY,
+                    tier: Tier::Normal,
+                },
+            ),
+        };
+        Frame::Progress {
+            req_id,
+            kind,
+            round: r.round,
+            used: r.coefficients_used as u64,
+            total: r.total_coefficients as u64,
+            estimate: r.estimate,
+            bound: r.error_bound,
+            tier: r.tier,
+        }
+    }
+
     /// Serializes the frame body (opcode + payload), without the length
     /// prefix.
     pub fn encode_body(&self) -> Vec<u8> {
         let mut b = Vec::new();
+        self.put_body(&mut b);
+        b
+    }
+
+    /// Appends the whole frame — length prefix and body — to `buf`, so
+    /// any number of frames can leave in one write.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        let at = buf.len();
+        buf.extend_from_slice(&[0; 4]);
+        self.put_body(buf);
+        let len = (buf.len() - at - 4) as u32;
+        buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    fn put_body(&self, b: &mut Vec<u8>) {
         match self {
             Frame::Submit { req_id, priority, deadline_ms, ranges, trace } => {
                 b.push(0x01);
-                put_u64(&mut b, *req_id);
+                put_u64(b, *req_id);
                 b.push(priority.to_wire());
-                put_u64(&mut b, *deadline_ms);
-                put_u16(&mut b, ranges.len() as u16);
+                put_u64(b, *deadline_ms);
+                put_u16(b, ranges.len() as u16);
                 for &(lo, hi) in ranges {
-                    put_u64(&mut b, lo);
-                    put_u64(&mut b, hi);
+                    put_u64(b, lo);
+                    put_u64(b, hi);
                 }
                 // Trailing flags byte only when a flag is set, so an
                 // untraced SUBMIT stays byte-identical to protocol v1.
@@ -270,19 +318,19 @@ impl Frame {
             }
             Frame::Cancel { req_id } => {
                 b.push(0x02);
-                put_u64(&mut b, *req_id);
+                put_u64(b, *req_id);
             }
             Frame::MetricsRequest => b.push(0x03),
             Frame::Shutdown => b.push(0x04),
             Frame::Progress { req_id, kind, round, used, total, estimate, bound, tier } => {
                 b.push(0x81);
-                put_u64(&mut b, *req_id);
+                put_u64(b, *req_id);
                 b.push(kind.to_wire());
-                put_u32(&mut b, *round);
-                put_u64(&mut b, *used);
-                put_u64(&mut b, *total);
-                put_f64(&mut b, *estimate);
-                put_f64(&mut b, *bound);
+                put_u32(b, *round);
+                put_u64(b, *used);
+                put_u64(b, *total);
+                put_f64(b, *estimate);
+                put_f64(b, *bound);
                 // Trailing tier byte only when degraded, so an
                 // undegraded PROGRESS stays byte-identical to v2.
                 if *tier != Tier::Normal {
@@ -291,9 +339,9 @@ impl Frame {
             }
             Frame::Reject { req_id, code, detail, message } => {
                 b.push(0x82);
-                put_u64(&mut b, *req_id);
+                put_u64(b, *req_id);
                 b.push(*code);
-                put_u32(&mut b, *detail);
+                put_u32(b, *detail);
                 b.extend_from_slice(message.as_bytes());
             }
             Frame::MetricsReply { json } => {
@@ -303,26 +351,25 @@ impl Frame {
             Frame::Goodbye => b.push(0x84),
             Frame::Profile { req_id, profile } => {
                 b.push(0x85);
-                put_u64(&mut b, *req_id);
-                put_u64(&mut b, profile.trace_id);
-                put_u64(&mut b, profile.queue_wait_ns);
-                put_u64(&mut b, profile.latency_ns);
-                put_u32(&mut b, profile.rounds);
-                put_u64(&mut b, profile.blocks_read);
-                put_u64(&mut b, profile.blocks_shared);
-                put_u64(&mut b, profile.cache_hits);
-                put_u64(&mut b, profile.cache_misses);
-                put_u64(&mut b, profile.retries);
-                put_u64(&mut b, profile.degraded_blocks);
-                put_u16(&mut b, profile.trajectory.len() as u16);
+                put_u64(b, *req_id);
+                put_u64(b, profile.trace_id);
+                put_u64(b, profile.queue_wait_ns);
+                put_u64(b, profile.latency_ns);
+                put_u32(b, profile.rounds);
+                put_u64(b, profile.blocks_read);
+                put_u64(b, profile.blocks_shared);
+                put_u64(b, profile.cache_hits);
+                put_u64(b, profile.cache_misses);
+                put_u64(b, profile.retries);
+                put_u64(b, profile.degraded_blocks);
+                put_u16(b, profile.trajectory.len() as u16);
                 for p in &profile.trajectory {
-                    put_u32(&mut b, p.round);
-                    put_u64(&mut b, p.coefficients_used);
-                    put_f64(&mut b, p.error_bound);
+                    put_u32(b, p.round);
+                    put_u64(b, p.coefficients_used);
+                    put_f64(b, p.error_bound);
                 }
             }
         }
-        b
     }
 
     /// Parses a frame body (opcode + payload).
@@ -419,12 +466,14 @@ impl Frame {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame in a single `write_all`: a split
+/// length/body pair would let Nagle's algorithm hold the body back until
+/// the peer's next ACK.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), ServiceError> {
-    let body = frame.encode_body();
-    debug_assert!(body.len() <= MAX_FRAME);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)?;
+    let mut buf = Vec::new();
+    frame.encode_into(&mut buf);
+    debug_assert!(buf.len() - 4 <= MAX_FRAME);
+    w.write_all(&buf)?;
     w.flush()?;
     Ok(())
 }
@@ -445,6 +494,27 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, ServiceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_batch_of_encoded_frames_reads_back_frame_by_frame() {
+        let frames =
+            [Frame::Cancel { req_id: 9 }, Frame::from_update(3, Update::Cancelled), Frame::Goodbye];
+        let mut buf = Vec::new();
+        for f in &frames {
+            f.encode_into(&mut buf);
+        }
+        let mut r = buf.as_slice();
+        for f in &frames {
+            assert_eq!(&read_frame(&mut r).unwrap(), f);
+        }
+        assert!(r.is_empty());
+        match &frames[1] {
+            Frame::Progress { req_id: 3, kind: ProgressKind::Cancelled, bound, .. } => {
+                assert_eq!(*bound, f64::INFINITY);
+            }
+            other => panic!("a cancellation is a CANCELLED PROGRESS frame, got {other:?}"),
+        }
+    }
 
     fn roundtrip(f: Frame) {
         let mut buf = Vec::new();

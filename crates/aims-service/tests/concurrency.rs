@@ -13,14 +13,15 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use aims_dsp::filters::FilterKind;
 use aims_propolyne::{DataCube, RangeSumQuery, WaveletCube};
 use aims_service::{
-    Outcome, ProgressKind, QueryService, QuerySpec, Server, ServiceConfig, ServiceError, TcpClient,
+    ClientEvent, Outcome, ProgressKind, QueryService, QuerySpec, Server, ServiceConfig,
+    ServiceError, TcpClient,
 };
 
 const SIDE: usize = 32;
@@ -349,6 +350,32 @@ fn wire_rejections_are_typed_end_to_end() {
         match client.run_query(1, &QuerySpec::interactive(vec![(0, 31)])) {
             Err(ServiceError::InvalidQuery(msg)) => assert!(msg.contains("dimensional")),
             other => panic!("expected InvalidQuery, got {other:?}"),
+        }
+        client.shutdown_server().expect("goodbye");
+        server.join();
+    });
+}
+
+#[test]
+fn shutdown_sends_queued_wire_sessions_a_cancelled_terminal() {
+    with_watchdog(Duration::from_secs(60), || {
+        // The warmup holds the scheduler before round 1, so the session
+        // is still queued when the service shuts down.
+        let config =
+            ServiceConfig { admission_warmup: Duration::from_secs(3), ..ServiceConfig::default() };
+        let svc = Arc::new(QueryService::new(demo_cube(5), 16, config));
+        let server = Server::spawn(Arc::clone(&svc), "127.0.0.1:0").expect("bind loopback");
+        let mut client = TcpClient::connect(("127.0.0.1", server.port())).expect("connect");
+        client.submit(7, &QuerySpec::interactive(vec![(0, 31), (0, 31)])).expect("submit");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !svc.sessions_json_lines().contains("\"state\":\"queued\"") {
+            assert!(Instant::now() < deadline, "the SUBMIT never reached the queue");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        svc.shutdown();
+        match client.next_event().expect("a terminal frame after shutdown") {
+            ClientEvent::Progress { req_id: 7, kind: ProgressKind::Cancelled, .. } => {}
+            other => panic!("expected CANCELLED for request 7, got {other:?}"),
         }
         client.shutdown_server().expect("goodbye");
         server.join();
