@@ -118,6 +118,18 @@ EOF
         exit 1
     }
 
+    # The other drill wrappers: each prints its report and exits non-zero
+    # on any invariant violation, including a durability drill that never
+    # crashed (seed 6 in `none` mode pins that case).
+    echo "== storage-fault drill (aims-cli faults) =="
+    target/release/aims-cli faults --format json
+
+    echo "== sensor-fault ingest drill (aims-cli ingest-faults) =="
+    target/release/aims-cli ingest-faults --format json
+
+    echo "== WAL crash drill (aims-cli durability, mode none, seed 6) =="
+    target/release/aims-cli durability --mode none --seed 6 --format json
+
     echo "== tier drill (AIMS_THREADS=1, serial transform pool) =="
     AIMS_THREADS=1 target/release/aims-cli tiers --samples 200000
 

@@ -35,12 +35,9 @@ fn bench_lazy_vs_dense(c: &mut Criterion) {
 
 fn test_cube(n: usize) -> DataCube {
     let mut cube = DataCube::zeros(&[n, n]);
-    let mut state = 17u64;
+    let mut rng = aims::drills::XorShift(17);
     for v in cube.values_mut() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        *v = (state % 9) as f64;
+        *v = (rng.next_u64() % 9) as f64;
     }
     cube
 }

@@ -39,6 +39,17 @@ struct MetricSpec {
     abs_tolerance: f64,
 }
 
+impl MetricSpec {
+    fn new(
+        name: &'static str,
+        direction: Direction,
+        rel_tolerance: f64,
+        abs_tolerance: f64,
+    ) -> Self {
+        MetricSpec { name, direction, rel_tolerance, abs_tolerance }
+    }
+}
+
 #[derive(Clone, Copy, PartialEq)]
 enum Direction {
     Higher,
@@ -84,12 +95,12 @@ fn collect_current() -> Result<Vec<(MetricSpec, f64)>, String> {
             let speedup =
                 w.num("speedup").ok_or("bench_parallel.json: workload without speedup")?;
             out.push((
-                MetricSpec {
-                    name: leak(format!("e24.{}.speedup", slug(name))),
-                    direction: Direction::Higher,
-                    rel_tolerance: 0.75,
-                    abs_tolerance: 0.0,
-                },
+                MetricSpec::new(
+                    leak(format!("e24.{}.speedup", slug(name))),
+                    Direction::Higher,
+                    0.75,
+                    0.0,
+                ),
                 speedup,
             ));
         }
@@ -108,12 +119,12 @@ fn collect_current() -> Result<Vec<(MetricSpec, f64)>, String> {
             let name = w.str("name").ok_or("bench_kernels.json: workload without name")?;
             let speedup = w.num("speedup").ok_or("bench_kernels.json: workload without speedup")?;
             out.push((
-                MetricSpec {
-                    name: leak(format!("e29.{}.speedup", slug(name))),
-                    direction: Direction::Higher,
-                    rel_tolerance: 0.50,
-                    abs_tolerance: 0.0,
-                },
+                MetricSpec::new(
+                    leak(format!("e29.{}.speedup", slug(name))),
+                    Direction::Higher,
+                    0.50,
+                    0.0,
+                ),
                 speedup,
             ));
         }
@@ -124,45 +135,21 @@ fn collect_current() -> Result<Vec<(MetricSpec, f64)>, String> {
     if let Some(v) = load("target/bench_faults.json")? {
         let worst = rows_extreme(&v, "worst_rel_error", f64::max, f64::NEG_INFINITY)
             .ok_or("bench_faults.json: no worst_rel_error in rows[]")?;
-        out.push((
-            MetricSpec {
-                name: "e25.worst_rel_error",
-                direction: Direction::Lower,
-                rel_tolerance: 0.05,
-                abs_tolerance: 0.0,
-            },
-            worst,
-        ));
+        out.push((MetricSpec::new("e25.worst_rel_error", Direction::Lower, 0.05, 0.0), worst));
     }
 
     // E26 — minimum recognition F1 across dropout levels. Seeded: tight.
     if let Some(v) = load("target/bench_ingest_faults.json")? {
         let min_f1 = rows_extreme(&v, "f1", f64::min, f64::INFINITY)
             .ok_or("bench_ingest_faults.json: no f1 in rows[]")?;
-        out.push((
-            MetricSpec {
-                name: "e26.min_f1",
-                direction: Direction::Higher,
-                rel_tolerance: 0.05,
-                abs_tolerance: 0.0,
-            },
-            min_f1,
-        ));
+        out.push((MetricSpec::new("e26.min_f1", Direction::Higher, 0.05, 0.0), min_f1));
     }
 
     // E27 — shared-scan read reduction. Deterministic plan math, but
     // admission timing can shift which queries share a scan: medium.
     if let Some(v) = load("target/bench_service.json")? {
         let reduction = v.num("reduction").ok_or("bench_service.json: missing reduction")?;
-        out.push((
-            MetricSpec {
-                name: "e27.reduction",
-                direction: Direction::Higher,
-                rel_tolerance: 0.20,
-                abs_tolerance: 0.0,
-            },
-            reduction,
-        ));
+        out.push((MetricSpec::new("e27.reduction", Direction::Higher, 0.20, 0.0), reduction));
     }
 
     // E30 — durability-mode write throughput ratios. Each side is a
@@ -175,15 +162,7 @@ fn collect_current() -> Result<Vec<(MetricSpec, f64)>, String> {
         ] {
             let ratio =
                 v.num(field).ok_or_else(|| format!("bench_durability.json: missing {field}"))?;
-            out.push((
-                MetricSpec {
-                    name,
-                    direction: Direction::Higher,
-                    rel_tolerance: 0.75,
-                    abs_tolerance: 0.0,
-                },
-                ratio,
-            ));
+            out.push((MetricSpec::new(name, Direction::Higher, 0.75, 0.0), ratio));
         }
     }
 
@@ -196,45 +175,13 @@ fn collect_current() -> Result<Vec<(MetricSpec, f64)>, String> {
     // loaded CI host.
     if let Some(v) = load("target/bench_chaos.json")? {
         let ratio = v.num("auc_ratio").ok_or("bench_chaos.json: missing auc_ratio")?;
-        out.push((
-            MetricSpec {
-                name: "e31.auc_ratio",
-                direction: Direction::Higher,
-                rel_tolerance: 0.15,
-                abs_tolerance: 0.0,
-            },
-            ratio,
-        ));
+        out.push((MetricSpec::new("e31.auc_ratio", Direction::Higher, 0.15, 0.0), ratio));
         let shed = v.num("shed_fraction").ok_or("bench_chaos.json: missing shed_fraction")?;
-        out.push((
-            MetricSpec {
-                name: "e31.shed_fraction",
-                direction: Direction::Lower,
-                rel_tolerance: 0.25,
-                abs_tolerance: 0.05,
-            },
-            shed,
-        ));
+        out.push((MetricSpec::new("e31.shed_fraction", Direction::Lower, 0.25, 0.05), shed));
         let recovery = v.num("recovery_ms").ok_or("bench_chaos.json: missing recovery_ms")?;
-        out.push((
-            MetricSpec {
-                name: "e31.recovery_ms",
-                direction: Direction::Lower,
-                rel_tolerance: 0.0,
-                abs_tolerance: 500.0,
-            },
-            recovery,
-        ));
+        out.push((MetricSpec::new("e31.recovery_ms", Direction::Lower, 0.0, 500.0), recovery));
         let p99 = v.num("p99_overload_ms").ok_or("bench_chaos.json: missing p99_overload_ms")?;
-        out.push((
-            MetricSpec {
-                name: "e31.p99_overload_ms",
-                direction: Direction::Lower,
-                rel_tolerance: 2.0,
-                abs_tolerance: 10.0,
-            },
-            p99,
-        ));
+        out.push((MetricSpec::new("e31.p99_overload_ms", Direction::Lower, 2.0, 10.0), p99));
     }
 
     // E32 — tiered ingest. The absorption rate and query p99 are
@@ -247,49 +194,20 @@ fn collect_current() -> Result<Vec<(MetricSpec, f64)>, String> {
             .num("ingest_samples_per_sec")
             .ok_or("bench_tier.json: missing ingest_samples_per_sec")?;
         out.push((
-            MetricSpec {
-                name: "e32.ingest_samples_per_sec",
-                direction: Direction::Higher,
-                rel_tolerance: 0.60,
-                abs_tolerance: 0.0,
-            },
+            MetricSpec::new("e32.ingest_samples_per_sec", Direction::Higher, 0.60, 0.0),
             rate,
         ));
         let lag = v.num("compaction_lag_ms").ok_or("bench_tier.json: missing compaction_lag_ms")?;
-        out.push((
-            MetricSpec {
-                name: "e32.compaction_lag_ms",
-                direction: Direction::Lower,
-                rel_tolerance: 1.0,
-                abs_tolerance: 1000.0,
-            },
-            lag,
-        ));
+        out.push((MetricSpec::new("e32.compaction_lag_ms", Direction::Lower, 1.0, 1000.0), lag));
         let p99 = v.num("query_p99_ms").ok_or("bench_tier.json: missing query_p99_ms")?;
-        out.push((
-            MetricSpec {
-                name: "e32.query_p99_ms",
-                direction: Direction::Lower,
-                rel_tolerance: 2.0,
-                abs_tolerance: 10.0,
-            },
-            p99,
-        ));
+        out.push((MetricSpec::new("e32.query_p99_ms", Direction::Lower, 2.0, 10.0), p99));
     }
 
     // E28 — tracing overhead ratio. Pure wall-time delta on a ~20 ms
     // run: the absolute band matters more than the relative one.
     if let Some(v) = load("target/bench_trace.json")? {
         let overhead = v.num("overhead").ok_or("bench_trace.json: missing overhead")?;
-        out.push((
-            MetricSpec {
-                name: "e28.overhead",
-                direction: Direction::Lower,
-                rel_tolerance: 0.0,
-                abs_tolerance: 0.04,
-            },
-            overhead,
-        ));
+        out.push((MetricSpec::new("e28.overhead", Direction::Lower, 0.0, 0.04), overhead));
     }
 
     Ok(out)

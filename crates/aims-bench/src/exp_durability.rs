@@ -1,141 +1,15 @@
-//! Experiment E30: durability-mode cost and crash recovery — a
-//! YCSB-style load + update/read mix against the file-backed store under
-//! each durability mode, plus a seeded crash drill proving recovery is
-//! exact. Gates: fsync-always never loses an acknowledged write, and the
-//! recovered state is bit-identical to the committed write prefix.
+//! Experiment E30: durability-mode cost and crash recovery — a seeded
+//! load + update write log against the file-backed store under each
+//! durability mode, plus one WAL crash drill per mode
+//! ([`aims::drills::durability`]). Gates: fsync-always never loses an
+//! acknowledged write, and the recovered state is bit-identical to the
+//! committed write prefix.
 
-use std::io::Write;
 use std::time::Instant;
 
-use aims_storage::{
-    BlockDevice, CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions, MemDevice, RawMedia,
-};
-
-const BLOCK: usize = 32;
-const NUM_BLOCKS: usize = 48;
-const MIXED_OPS: usize = 512;
-const SEED: u64 = 0xE30u64;
-
-/// One measured durability mode.
-struct Row {
-    mode: DurabilityMode,
-    writes: usize,
-    wall_ms: f64,
-    writes_per_sec: f64,
-    fsyncs: u64,
-    checkpoints: u64,
-    recovery_ms: f64,
-    replayed: u64,
-    truncated_bytes: u64,
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn payload(tag: u64) -> Vec<f64> {
-    (0..BLOCK).map(|i| (tag.wrapping_mul(31).wrapping_add(i as u64) % 997) as f64 - 498.0).collect()
-}
-
-/// The YCSB-style op sequence: a full load pass, then a 50/50 update/read
-/// mix over seeded keys. Returns the ordered write log (block, payload).
-fn op_log() -> Vec<(usize, Vec<f64>)> {
-    let mut log: Vec<(usize, Vec<f64>)> = (0..NUM_BLOCKS).map(|b| (b, payload(b as u64))).collect();
-    let mut state = SEED;
-    for k in 0..MIXED_OPS {
-        let r = splitmix(&mut state);
-        if r & 1 == 0 {
-            log.push(((r as usize >> 1) % NUM_BLOCKS, payload(0x1000 + k as u64)));
-        }
-    }
-    log
-}
-
-fn opts(mode: DurabilityMode, crash: CrashPlan) -> FileDeviceOptions {
-    FileDeviceOptions { mode, crash, checkpoint_bytes: 16 * 1024, ..Default::default() }
-}
-
-fn fresh_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("aims-e30-{}-{tag}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-fn bits(device: &impl RawMedia) -> Vec<Vec<u64>> {
-    (0..device.num_blocks())
-        .map(|b| device.raw_payload(b).iter().map(|v| v.to_bits()).collect())
-        .collect()
-}
-
-/// Applies the first `k` writes of the log to a memory replica.
-fn replica(log: &[(usize, Vec<f64>)], k: usize) -> MemDevice {
-    let mut mem = MemDevice::new(BLOCK, NUM_BLOCKS);
-    for (b, p) in &log[..k] {
-        mem.write_block(*b, p);
-    }
-    mem
-}
-
-/// Runs the workload with the crash plan armed, reopens, times recovery,
-/// and asserts the recovered state is bit-identical to a committed
-/// prefix of the write log covering every acknowledged write.
-fn crash_drill(mode: DurabilityMode, log: &[(usize, Vec<f64>)], tag: &str) -> (f64, u64, u64) {
-    let dir = fresh_dir(tag);
-    // A crash step in the thick of the mixed phase: past the load pass,
-    // before the tail.
-    let crash_step = NUM_BLOCKS as u64 * 2 + (SEED % 64);
-    let mut device =
-        FileDevice::create(&dir, BLOCK, NUM_BLOCKS, opts(mode, CrashPlan::at(SEED, crash_step)))
-            .unwrap();
-    let mut completed = 0usize;
-    let mut durable_at_crash = 0;
-    for (b, p) in log {
-        device.write_block(*b, p);
-        if device.is_crashed() {
-            durable_at_crash = device.durable_lsn();
-            break;
-        }
-        completed += 1;
-    }
-    assert!(device.is_crashed(), "drill crash step {crash_step} never fired ({mode:?})");
-    drop(device);
-
-    let t = Instant::now();
-    let device = FileDevice::open(&dir, opts(mode, CrashPlan::none())).unwrap();
-    let recovery_ms = t.elapsed().as_secs_f64() * 1e3;
-    let r = device.recovery();
-
-    // Gate: nothing acknowledged is lost. In fsync-always mode every
-    // completed write was acknowledged, so this is the headline claim.
-    if r.recovered_lsn > 0 {
-        assert!(
-            r.recovered_lsn >= durable_at_crash,
-            "{mode:?}: recovered lsn {} below acked frontier {durable_at_crash}",
-            r.recovered_lsn
-        );
-    }
-    if mode == DurabilityMode::Always {
-        assert!(
-            durable_at_crash >= completed as u64,
-            "always mode acked only {durable_at_crash} of {completed} completed writes"
-        );
-    }
-
-    // Gate: the reopened store is bit-identical to SOME committed prefix
-    // at least as long as the acked frontier (a post-checkpoint crash
-    // leaves an empty WAL, so the prefix is found by search).
-    let got = bits(&device);
-    let floor = if r.recovered_lsn > 0 { r.recovered_lsn } else { durable_at_crash } as usize;
-    let matched = (floor..=completed + 1).any(|k| bits(&replica(log, k.min(log.len()))) == got);
-    assert!(matched, "{mode:?}: recovered state matches no committed prefix >= {floor}");
-
-    std::fs::remove_dir_all(&dir).ok();
-    (recovery_ms, r.replayed_records, r.truncated_bytes)
-}
+use aims::drills::durability::{self, Config};
+use aims::drills::{DrillDir, Report};
+use aims_storage::{CrashPlan, DurabilityMode};
 
 /// E30 — durable storage: acknowledged-write throughput per durability
 /// mode and seeded crash drills with exact recovery. Results land in
@@ -143,71 +17,51 @@ fn crash_drill(mode: DurabilityMode, log: &[(usize, Vec<f64>)], tag: &str) -> (f
 pub fn e30_durability() {
     crate::header("E30", "durability modes: write cost vs crash-loss window, with exact recovery");
 
-    let log = op_log();
-    let modes = [DurabilityMode::Always, DurabilityMode::Periodic(8), DurabilityMode::None];
+    let base = Config { seed: 0xE30, blocks: 48, block_size: 32, writes: 304, ..Config::default() };
+    let log = durability::write_log(&base);
+    let (bs, nb) = (base.block_size, base.blocks);
     println!(
-        "workload: {} blocks x {} items load + {MIXED_OPS} mixed ops \
-         ({} writes total), seed {SEED:#x}\n",
-        NUM_BLOCKS,
-        BLOCK,
-        log.len()
+        "workload: {nb} blocks x {bs} items load + updates ({} writes total), seed {:#x}\n",
+        log.len(),
+        base.seed
     );
 
-    let mut rows: Vec<Row> = Vec::new();
+    let (mut rows, mut writes_per_sec) = (Vec::new(), Vec::new());
     let ((), wall) = crate::timed("bench.e30.durability", || {
-        for mode in modes {
-            let dir = fresh_dir(&mode.label().replace(':', "_"));
+        for mode in [DurabilityMode::Always, DurabilityMode::Periodic(8), DurabilityMode::None] {
+            let dir = DrillDir::new(None, "e30");
+            let opts = durability::options(mode, CrashPlan::none());
             let t = Instant::now();
-            let mut device =
-                FileDevice::create(&dir, BLOCK, NUM_BLOCKS, opts(mode, CrashPlan::none())).unwrap();
-            for (b, p) in &log {
-                device.write_block(*b, p);
-            }
+            let (mut device, _) = durability::run_log(dir.path(), bs, nb, opts, &log).unwrap();
             device.sync();
             let wall_ms = t.elapsed().as_secs_f64() * 1e3;
             let stats = device.wal_stats();
-
             // Sanity: the surviving state equals the full log on every mode.
-            assert_eq!(bits(&device), bits(&replica(&log, log.len())), "{mode:?} state drift");
+            let full = durability::matching_prefix(&device, &log, log.len(), log.len());
+            assert_eq!(full, Some(log.len()), "{mode:?} state drift");
             device.close();
-            std::fs::remove_dir_all(&dir).ok();
 
-            let (recovery_ms, replayed, truncated_bytes) =
-                crash_drill(mode, &log, &format!("drill-{}", mode.label().replace(':', "_")));
-            rows.push(Row {
-                mode,
-                writes: log.len(),
-                wall_ms,
-                writes_per_sec: log.len() as f64 / (wall_ms / 1e3),
-                fsyncs: stats.fsyncs,
-                checkpoints: stats.checkpoints,
-                recovery_ms,
-                replayed,
-                truncated_bytes,
-            });
+            let drill = durability::run(&Config { mode, ..base.clone() });
+            let violations = drill.violations();
+            assert!(violations.is_empty(), "{mode:?} crash drill: {violations:#?}");
+            writes_per_sec.push(log.len() as f64 / (wall_ms / 1e3));
+            rows.push(vec![
+                ("mode", format!("\"{}\"", mode.label())),
+                ("writes", log.len().to_string()),
+                ("wall_ms", format!("{wall_ms:.3}")),
+                ("writes_per_sec", format!("{:.1}", writes_per_sec.last().unwrap())),
+                ("fsyncs", stats.fsyncs.to_string()),
+                ("checkpoints", stats.checkpoints.to_string()),
+                ("recovery_ms", format!("{:.3}", drill.recovery_ms)),
+                ("replayed", drill.recovery.replayed_records.to_string()),
+                ("truncated_bytes", drill.recovery.truncated_bytes.to_string()),
+            ]);
         }
     });
 
-    println!(
-        "{:>12} {:>10} {:>12} {:>8} {:>6} {:>12} {:>10} {:>10}",
-        "mode", "wall ms", "writes/s", "fsyncs", "ckpts", "recovery ms", "replayed", "torn B"
-    );
-    for r in &rows {
-        println!(
-            "{:>12} {:>10} {:>12} {:>8} {:>6} {:>12} {:>10} {:>10}",
-            r.mode.label(),
-            format!("{:.2}", r.wall_ms),
-            format!("{:.0}", r.writes_per_sec),
-            r.fsyncs,
-            r.checkpoints,
-            format!("{:.3}", r.recovery_ms),
-            r.replayed,
-            r.truncated_bytes,
-        );
-    }
-    let speedup = |num: &Row, den: &Row| num.writes_per_sec / den.writes_per_sec;
-    let none_over_always = speedup(&rows[2], &rows[0]);
-    let periodic_over_always = speedup(&rows[1], &rows[0]);
+    let rows = crate::print_rows(&rows);
+    let none_over_always = writes_per_sec[2] / writes_per_sec[0];
+    let periodic_over_always = writes_per_sec[1] / writes_per_sec[0];
     println!("\nshape check: fsyncs track the mode (every write / every 8th / checkpoint-only),");
     println!(
         "none mode writes {none_over_always:.1}x faster than fsync-always \
@@ -215,32 +69,11 @@ pub fn e30_durability() {
     );
     println!("bit-identical committed prefix with no acked write lost. ({wall:.1?})");
 
-    // Machine-readable record for the driver / CI trend tracking.
     let json = format!(
-        "{{\"experiment\":\"e30_durability\",\"seed\":{SEED},\
+        "{{\"experiment\":\"e30_durability\",\"seed\":{},\
          \"none_over_always\":{none_over_always:.4},\
-         \"periodic_over_always\":{periodic_over_always:.4},\"rows\":[{}]}}\n",
-        rows.iter()
-            .map(|r| format!(
-                "{{\"mode\":\"{}\",\"writes\":{},\"wall_ms\":{:.3},\"writes_per_sec\":{:.1},\
-                 \"fsyncs\":{},\"checkpoints\":{},\"recovery_ms\":{:.3},\"replayed\":{},\
-                 \"truncated_bytes\":{}}}",
-                r.mode.label(),
-                r.writes,
-                r.wall_ms,
-                r.writes_per_sec,
-                r.fsyncs,
-                r.checkpoints,
-                r.recovery_ms,
-                r.replayed,
-                r.truncated_bytes
-            ))
-            .collect::<Vec<_>>()
-            .join(",")
+         \"periodic_over_always\":{periodic_over_always:.4},\"rows\":{rows}}}",
+        base.seed,
     );
-    let path = std::path::Path::new("target").join("bench_durability.json");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
+    crate::record("bench_durability.json", &json);
 }

@@ -1,149 +1,57 @@
 //! Experiment E25: graceful degradation under storage faults —
-//! degraded-query error vs. fraction of lost blocks, with the guaranteed
-//! error bound asserted at every point and bit-identity asserted at zero
-//! faults.
+//! degraded-query error vs. fraction of lost blocks. Each point is one
+//! run of the storage-fault drill ([`aims::drills::faults`]), whose
+//! contract (the guaranteed bound dominates every degraded query's true
+//! error, recovered queries and all zero-fault queries are bit-identical
+//! to the plain device) is asserted at every point.
 
-use std::io::Write;
+use aims::drills::faults::{self, Answer, Config, BLOCK, N};
+use aims::drills::Report;
+use aims_storage::faults::FaultKind;
 
-use aims_storage::buffer::BufferPool;
-use aims_storage::device::{BlockDevice, RetryPolicy};
-use aims_storage::faults::{FaultKind, FaultPlan, FaultyDevice};
-use aims_storage::store::{AllocKind, WaveletStore};
-
-/// One measured point of the degradation curve.
-struct Row {
-    dead_fraction: f64,
-    lost_blocks: usize,
-    degraded_queries: usize,
-    mean_abs_error: f64,
-    mean_bound: f64,
-    worst_rel_error: f64,
-}
+const SEED: u64 = 0xA1B2;
 
 /// E25 — fault-injected storage: mean degraded-query error and guaranteed
-/// bound as the fraction of dead blocks grows. Gates: at every fraction
-/// the true error never exceeds the bound, and at fraction 0 every answer
-/// is bit-identical to the plain in-memory device. Results land in
+/// bound as the fraction of dead blocks grows. Results land in
 /// `target/bench_faults.json` for CI trend tracking.
 pub fn e25_fault_degradation() {
     crate::header("E25", "fault-injected storage: degraded-query error vs fraction of lost blocks");
+    println!("store: n={N}, B={BLOCK}, tree tiling, 64 range queries, seed {SEED:#x}\n");
 
-    let n = 4096usize;
-    let block = 32usize;
-    let seed = 0xA1B2u64;
-    let signal: Vec<f64> =
-        (0..n).map(|i| ((i * 13 + 5) % 31) as f64 - 15.0 + (i as f64 * 0.003).sin()).collect();
-    let plain = WaveletStore::from_signal(&signal, block, AllocKind::TreeTiling);
-
-    // 64 range queries spread over the domain at several widths.
-    let queries: Vec<(usize, usize)> = (0..64)
-        .map(|k| {
-            let width = 1usize << (4 + (k % 8));
-            let start = (k * 61) % (n - width);
-            (start, start + width - 1)
-        })
-        .collect();
-    let exact: Vec<f64> = {
-        let mut pool = BufferPool::new(256);
-        queries.iter().map(|&(a, b)| plain.range_sum(a, b, &mut pool)).collect()
-    };
-
-    println!("store: n={n}, B={block}, tree tiling, {} range queries, seed {seed:#x}\n", 64);
-
-    let policy = RetryPolicy::with_retries(2);
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows = Vec::new();
     let ((), wall) = crate::timed("bench.e25.faults", || {
         for dead_fraction in [0.0, 0.05, 0.1, 0.2, 0.4] {
-            let store =
-                WaveletStore::from_signal_on(&signal, block, AllocKind::TreeTiling, |bs, nb| {
-                    FaultyDevice::with_plan(
-                        bs,
-                        nb,
-                        FaultPlan::uniform(seed, FaultKind::DeadBlock, dead_fraction),
-                    )
-                });
-            let device = store.device();
-            let lost_blocks = (0..device.num_blocks()).filter(|&b| device.is_dead(b)).count();
+            let cfg =
+                Config { seed: SEED, kind: FaultKind::DeadBlock, rate: dead_fraction, budget: 2 };
+            let report = faults::run(&cfg);
+            let violations = report.violations();
+            assert!(violations.is_empty(), "dead fraction {dead_fraction}: {violations:#?}");
 
-            let mut pool = BufferPool::new(256);
-            let mut degraded_queries = 0usize;
-            let mut sum_err = 0.0;
-            let mut sum_bound = 0.0;
-            let mut worst_rel = 0.0f64;
-            for (&(a, b), &truth) in queries.iter().zip(&exact) {
-                let got = store.range_sum_outcome(a, b, &mut pool, &policy);
-                let err = (got.value - truth).abs();
-                assert!(
-                    err <= got.error_bound + 1e-9,
-                    "bound violated at fraction {dead_fraction} [{a},{b}]: \
-                     err {err} > bound {}",
-                    got.error_bound
-                );
-                if dead_fraction == 0.0 {
-                    assert_eq!(
-                        got.value.to_bits(),
-                        truth.to_bits(),
-                        "zero-fault answer must be bit-identical [{a},{b}]"
-                    );
-                }
-                if got.degraded() {
-                    degraded_queries += 1;
-                    sum_err += err;
-                    sum_bound += got.error_bound;
-                    worst_rel = worst_rel.max(err / truth.abs().max(1.0));
-                }
-            }
-            let denom = degraded_queries.max(1) as f64;
-            rows.push(Row {
-                dead_fraction,
-                lost_blocks,
-                degraded_queries,
-                mean_abs_error: sum_err / denom,
-                mean_bound: sum_bound / denom,
-                worst_rel_error: worst_rel,
-            });
+            let degraded: Vec<&Answer> =
+                report.answers.iter().filter(|a| a.outcome.degraded()).collect();
+            let err = |a: &Answer| (a.outcome.value - a.truth).abs();
+            let mean = |f: &dyn Fn(&Answer) -> f64| {
+                degraded.iter().map(|a| f(a)).sum::<f64>() / degraded.len().max(1) as f64
+            };
+            let worst =
+                degraded.iter().map(|a| err(a) / a.truth.abs().max(1.0)).fold(0.0, f64::max);
+            rows.push(vec![
+                ("dead_fraction", format!("{dead_fraction:.2}")),
+                ("lost_blocks", report.dead_blocks.to_string()),
+                ("degraded_queries", degraded.len().to_string()),
+                ("mean_abs_error", format!("{:.6}", mean(&err))),
+                ("mean_bound", format!("{:.6}", mean(&|a| a.outcome.error_bound))),
+                ("worst_rel_error", format!("{worst:.6}")),
+            ]);
         }
     });
 
-    println!(
-        "{:>10} {:>12} {:>14} {:>14} {:>14} {:>12}",
-        "dead frac", "dead blocks", "degraded q", "mean |err|", "mean bound", "worst rel"
-    );
-    for r in &rows {
-        println!(
-            "{:>10} {:>12} {:>14} {:>14} {:>14} {:>12}",
-            format!("{:.2}", r.dead_fraction),
-            r.lost_blocks,
-            format!("{}/64", r.degraded_queries),
-            format!("{:.3}", r.mean_abs_error),
-            format!("{:.3}", r.mean_bound),
-            format!("{:.4}", r.worst_rel_error),
-        );
-    }
+    let rows = crate::print_rows(&rows);
     println!("\nshape check: zero faults → 0 degraded queries and bit-identical answers");
     println!("(asserted above); the guaranteed bound dominates the true error at every");
     println!("fraction, and both grow with the share of lost blocks. ({wall:.1?})");
 
-    // Machine-readable record for the driver / CI trend tracking.
-    let json = format!(
-        "{{\"experiment\":\"e25_faults\",\"seed\":{seed},\"queries\":64,\"rows\":[{}]}}\n",
-        rows.iter()
-            .map(|r| format!(
-                "{{\"dead_fraction\":{:.2},\"lost_blocks\":{},\"degraded_queries\":{},\
-                 \"mean_abs_error\":{:.6},\"mean_bound\":{:.6},\"worst_rel_error\":{:.6}}}",
-                r.dead_fraction,
-                r.lost_blocks,
-                r.degraded_queries,
-                r.mean_abs_error,
-                r.mean_bound,
-                r.worst_rel_error
-            ))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    let path = std::path::Path::new("target").join("bench_faults.json");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
+    let json =
+        format!("{{\"experiment\":\"e25_faults\",\"seed\":{SEED},\"queries\":64,\"rows\":{rows}}}");
+    crate::record("bench_faults.json", &json);
 }

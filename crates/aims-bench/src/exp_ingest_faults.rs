@@ -1,13 +1,14 @@
 //! Experiment E26: online recognition under sensor faults — F1 of the
 //! streaming recognizer vs. wire dropout rate, for both gap-repair
-//! policies, with bit-identity asserted at zero faults.
+//! policies. Each point is one run of the sensor-fault ingest drill
+//! ([`aims::drills::ingest`]) over a signing sentence, whose contract
+//! (zero faults are bit-identical and repair nothing) is asserted at
+//! every point.
 
-use std::io::Write;
-
-use aims_acquisition::ingest::{IngestConfig, RepairPolicy, SupervisedIngest};
-use aims_acquisition::recorder::RecorderConfig;
+use aims::drills::{ingest, Report};
+use aims_acquisition::ingest::RepairPolicy;
 use aims_sensors::asl::AslVocabulary;
-use aims_sensors::faulty::{FaultySensorRig, SensorFaultPlan};
+use aims_sensors::faulty::SensorFaultPlan;
 use aims_sensors::glove::CyberGloveRig;
 use aims_sensors::noise::NoiseSource;
 use aims_stream::isolation::{evaluate_isolation, IsolationConfig, StreamRecognizer};
@@ -19,17 +20,6 @@ use aims_stream::isolation::{evaluate_isolation, IsolationConfig, StreamRecogniz
 /// `EXPERIMENTS.md`).
 const MAX_F1_DROP: f64 = 0.25;
 
-/// One measured point of the degradation surface.
-struct Row {
-    dropout: f64,
-    policy: RepairPolicy,
-    repaired_samples: usize,
-    f1: f64,
-    recall: f64,
-    label_accuracy: f64,
-    min_confidence: f64,
-}
-
 /// E26 — fault-tolerant ingest: recognition quality as the wire dropout
 /// rate grows, under both repair policies. Gates: zero faults is
 /// bit-identical to the clean stream (and scores identically), and at
@@ -40,8 +30,7 @@ struct Row {
 pub fn e26_ingest_faults() {
     crate::header("E26", "fault-tolerant ingest: recognition F1 vs dropout rate x repair policy");
 
-    let seed: u64 =
-        std::env::var("AIMS_INGEST_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(2003);
+    let seed = aims::drills::env_seed("AIMS_INGEST_FAULT_SEED", 2003);
 
     // The well-separated vocabulary and sentence of the deflaked isolation
     // test: the clean baseline recognizes it perfectly, so every F1 drop
@@ -77,34 +66,16 @@ pub fn e26_ingest_faults() {
         clean_report.label_accuracy
     );
 
-    // A buffer the recorder can never overrun, so the only degradation
-    // measured is the injected wire faults.
-    let ingest_config = |policy| IngestConfig {
-        repair: policy,
-        recorder: RecorderConfig { buffer_frames: 1 << 16, batch_size: 64, store_latency_us: 0 },
-        ..IngestConfig::default()
-    };
-
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows = Vec::new();
     let ((), wall) = crate::timed("bench.e26.ingest_faults", || {
         for dropout in [0.0, 0.05, 0.1, 0.2] {
             for policy in RepairPolicy::ALL {
-                let rig = FaultySensorRig::new(SensorFaultPlan::dropout(seed, dropout));
-                let wire = rig.transmit(&clean);
-                let out = SupervisedIngest::new(ingest_config(policy)).ingest(clean.spec(), &wire);
-                if dropout == 0.0 {
-                    assert_eq!(out.stream.len(), clean.len(), "zero-fault frame count");
-                    for t in 0..clean.len() {
-                        for c in 0..clean.channels() {
-                            assert_eq!(
-                                out.stream.value(t, c).to_bits(),
-                                clean.value(t, c).to_bits(),
-                                "zero-fault ingest must be bit-identical (frame {t} ch {c})"
-                            );
-                        }
-                    }
-                    assert_eq!(out.stats.repaired_samples, 0);
-                } else {
+                let drill =
+                    ingest::run_on(&clean, &SensorFaultPlan::dropout(seed, dropout), policy);
+                let violations = drill.violations();
+                assert!(violations.is_empty(), "dropout {dropout}: {violations:#?}");
+                let out = &drill.outcome;
+                if dropout > 0.0 {
                     assert!(out.stats.repaired_samples > 0, "dropout {dropout} repaired nothing");
                 }
                 let (report, min_conf) = recognize(&out.stream, &out.quality);
@@ -119,62 +90,28 @@ pub fn e26_ingest_faults() {
                     report.f1,
                     clean_report.f1
                 );
-                rows.push(Row {
-                    dropout,
-                    policy,
-                    repaired_samples: out.stats.repaired_samples,
-                    f1: report.f1,
-                    recall: report.recall,
-                    label_accuracy: report.label_accuracy,
-                    min_confidence: min_conf,
-                });
+                rows.push(vec![
+                    ("dropout", format!("{dropout:.2}")),
+                    ("policy", format!("\"{}\"", policy.name())),
+                    ("repaired_samples", out.stats.repaired_samples.to_string()),
+                    ("f1", format!("{:.6}", report.f1)),
+                    ("recall", format!("{:.6}", report.recall)),
+                    ("label_accuracy", format!("{:.6}", report.label_accuracy)),
+                    ("min_confidence", format!("{min_conf:.6}")),
+                ]);
             }
         }
     });
 
-    println!(
-        "{:>8} {:>12} {:>10} {:>8} {:>8} {:>10} {:>10}",
-        "dropout", "policy", "repaired", "F1", "recall", "label acc", "min conf"
-    );
-    for r in &rows {
-        println!(
-            "{:>8} {:>12} {:>10} {:>8} {:>8} {:>10} {:>10}",
-            format!("{:.2}", r.dropout),
-            r.policy.name(),
-            r.repaired_samples,
-            format!("{:.3}", r.f1),
-            format!("{:.3}", r.recall),
-            format!("{:.3}", r.label_accuracy),
-            format!("{:.3}", r.min_confidence),
-        );
-    }
+    let rows = crate::print_rows(&rows);
     println!("\nshape check: zero dropout → zero repairs, bit-identical samples and an");
     println!("identical score; repairs grow with the dropout rate, confidence discounts");
     println!("deepen, and F1 stays within {MAX_F1_DROP} of the clean baseline. ({wall:.1?})");
 
-    // Machine-readable record for the driver / CI trend tracking.
     let json = format!(
         "{{\"experiment\":\"e26_ingest_faults\",\"seed\":{seed},\"clean_f1\":{:.6},\
-         \"max_f1_drop\":{MAX_F1_DROP},\"rows\":[{}]}}\n",
+         \"max_f1_drop\":{MAX_F1_DROP},\"rows\":{rows}}}",
         clean_report.f1,
-        rows.iter()
-            .map(|r| format!(
-                "{{\"dropout\":{:.2},\"policy\":\"{}\",\"repaired_samples\":{},\"f1\":{:.6},\
-                 \"recall\":{:.6},\"label_accuracy\":{:.6},\"min_confidence\":{:.6}}}",
-                r.dropout,
-                r.policy.name(),
-                r.repaired_samples,
-                r.f1,
-                r.recall,
-                r.label_accuracy,
-                r.min_confidence
-            ))
-            .collect::<Vec<_>>()
-            .join(",")
     );
-    let path = std::path::Path::new("target").join("bench_ingest_faults.json");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
+    crate::record("bench_ingest_faults.json", &json);
 }

@@ -10,8 +10,6 @@
 //! sorted merge for the batch dot) so the speedup is measured against the
 //! real predecessor, not a strawman.
 
-use std::io::Write;
-
 use aims_dsp::dwt::{analysis_step, dwt_standard_md_with, idwt_standard_md_with, synthesis_step};
 use aims_dsp::filters::{FilterKind, WaveletFilter};
 use aims_exec::ThreadPool;
@@ -234,7 +232,7 @@ pub fn e29_kernel_speed() {
     report.finish("E29 kernel counters (scratch reuse, tuner)");
 
     let json = format!(
-        "{{\"experiment\":\"e29_kernels\",\"workloads\":[{}]}}\n",
+        "{{\"experiment\":\"e29_kernels\",\"workloads\":[{}]}}",
         rows.iter()
             .map(|(name, to, tn)| format!(
                 "{{\"name\":\"{name}\",\"old_s\":{to:.6},\"new_s\":{tn:.6},\"speedup\":{:.3}}}",
@@ -243,9 +241,5 @@ pub fn e29_kernel_speed() {
             .collect::<Vec<_>>()
             .join(",")
     );
-    let path = std::path::Path::new("target").join("bench_kernels.json");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
+    crate::record("bench_kernels.json", &json);
 }

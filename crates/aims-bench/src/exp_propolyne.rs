@@ -63,12 +63,9 @@ pub fn e8_exact_aggregates() {
     let space = AttributeSpace::new(vec![(0.0, 64.0), (0.0, 64.0)], vec![64, 64]);
     let cube = {
         let mut c = DataCube::zeros(&[64, 64]);
-        let mut state = 99u64;
+        let mut rng = aims::drills::XorShift(99);
         for v in c.values_mut() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            *v = (state % 6) as f64;
+            *v = (rng.next_u64() % 6) as f64;
         }
         c
     };

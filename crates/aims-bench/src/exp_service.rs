@@ -2,7 +2,6 @@
 //! process-wide block cache vs per-query isolated evaluation, on 32
 //! concurrent overlapping range sums.
 
-use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -183,7 +182,7 @@ pub fn e27_service_sharing() {
             "\"baseline_reads\":{},\"service_reads\":{},\"reduction\":{:.3},",
             "\"cache_hits\":{},\"cache_misses\":{},",
             "\"overload_accepted\":{},\"overload_rejected\":{},",
-            "\"bit_identical\":true}}\n"
+            "\"bit_identical\":true}}"
         ),
         QUERIES,
         baseline_reads,
@@ -194,9 +193,5 @@ pub fn e27_service_sharing() {
         accepted,
         rejected,
     );
-    let path = std::path::Path::new("target").join("bench_service.json");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
+    crate::record("bench_service.json", &json);
 }

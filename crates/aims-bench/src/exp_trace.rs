@@ -289,7 +289,7 @@ pub fn e28_tracing_overhead() {
             "{{\"experiment\":\"e28_trace\",\"queries\":{},",
             "\"untraced_s\":{:.6},\"traced_s\":{:.6},\"overhead\":{:.4},",
             "\"profile_ground_truth\":true,\"chrome_events\":{},",
-            "\"bit_identical\":true}}\n"
+            "\"bit_identical\":true}}"
         ),
         QUERIES,
         med_untraced.as_secs_f64(),
@@ -297,9 +297,5 @@ pub fn e28_tracing_overhead() {
         overhead,
         n_events,
     );
-    let path = std::path::Path::new("target").join("bench_trace.json");
-    match std::fs::File::create(&path).and_then(|mut f| f.write_all(json.as_bytes())) {
-        Ok(()) => println!("\nrecorded {}", path.display()),
-        Err(e) => println!("\n(could not write {}: {e})", path.display()),
-    }
+    crate::record("bench_trace.json", &json);
 }

@@ -43,11 +43,40 @@ pub fn times(x: f64) -> String {
     format!("{x:.2}x")
 }
 
+/// Prints `(column, JSON value)` rows as an aligned table, headed by the
+/// first row's columns, and returns them as a JSON array: an
+/// experiment's printed table and its recorded rows are one list.
+pub fn print_rows(rows: &[Vec<(&str, String)>]) -> String {
+    let Some(first) = rows.first() else { return "[]".into() };
+    let widths: Vec<usize> = (0..first.len())
+        .map(|c| rows.iter().map(|r| r[c].1.len()).max().unwrap_or(0).max(first[c].0.len()))
+        .collect();
+    let line = |cells: Vec<&str>| {
+        let cells: Vec<String> =
+            cells.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}")).collect();
+        println!("{}", cells.join(" "));
+    };
+    line(first.iter().map(|(k, _)| *k).collect());
+    for r in rows {
+        line(r.iter().map(|(_, v)| v.trim_matches('"')).collect());
+    }
+    let json: Vec<String> = rows.iter().map(|r| aims::drills::json_object(r)).collect();
+    format!("[{}]", json.join(","))
+}
+
+/// Writes an experiment's JSON record to `target/<file>` for the CI
+/// trend gate, reporting where it went.
+pub fn record(file: &str, json: &str) {
+    let path = std::path::Path::new("target").join(file);
+    match std::fs::write(&path, format!("{json}\n")) {
+        Ok(()) => println!("\nrecorded {}", path.display()),
+        Err(e) => println!("\n(could not write {}: {e})", path.display()),
+    }
+}
+
 /// Times `f` under a telemetry span, so the elapsed time lands in the
-/// `<name>.ns` histogram of the global registry (with parent/child
-/// nesting) *and* is returned for inline experiment output. This replaces
-/// the hand-rolled `Instant::now()` pairs the experiment modules used to
-/// carry.
+/// `<name>.ns` histogram of the global registry *and* is returned for
+/// inline experiment output.
 pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let result = {

@@ -1,5 +1,6 @@
 //! Shared synthetic workloads used across experiments.
 
+use aims::drills::XorShift;
 use aims_propolyne::cube::DataCube;
 use aims_sensors::glove::CyberGloveRig;
 use aims_sensors::noise::NoiseSource;
@@ -40,12 +41,9 @@ pub fn gaussian_mixture_cube(n: usize) -> DataCube {
 /// Uniform random cube — incompressible white noise.
 pub fn uniform_cube(n: usize, seed: u64) -> DataCube {
     let mut cube = DataCube::zeros(&[n, n]);
-    let mut state = seed.max(1);
+    let mut rng = XorShift(seed.max(1));
     for v in cube.values_mut() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        *v = (state % 50) as f64;
+        *v = (rng.next_u64() % 50) as f64;
     }
     cube
 }
@@ -53,13 +51,10 @@ pub fn uniform_cube(n: usize, seed: u64) -> DataCube {
 /// Zipf-ish cube: a few heavy cells, long light tail.
 pub fn zipf_cube(n: usize, seed: u64) -> DataCube {
     let mut cube = DataCube::zeros(&[n, n]);
-    let mut state = seed.max(1);
+    let mut rng = XorShift(seed.max(1));
     let cells = n * n;
     for rank in 1..=(cells / 4) {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let cell = (state % cells as u64) as usize;
+        let cell = (rng.next_u64() % cells as u64) as usize;
         cube.values_mut()[cell] += (1000.0 / rank as f64).ceil();
     }
     cube

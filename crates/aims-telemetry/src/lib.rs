@@ -14,8 +14,7 @@
 //!   [`metrics::Counter`]s, [`metrics::Gauge`]s and log-bucketed
 //!   [`metrics::Histogram`]s (p50/p95/p99/max).
 //! - [`span`]: RAII timers — `let _g = span!("storage.alloc");` — that
-//!   record elapsed nanoseconds into the histogram `<name>.ns` and keep a
-//!   bounded trace of recent spans with parent/child nesting per thread.
+//!   record elapsed nanoseconds into the histogram `<name>.ns`.
 //! - [`snapshot`]: a point-in-time [`snapshot::Snapshot`] of a registry,
 //!   renderable as an aligned text table or as JSON lines for machine
 //!   diffing across runs (and parseable back via
@@ -56,15 +55,14 @@ pub use json::{JsonError, JsonValue};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{global, MetricsRegistry};
 pub use snapshot::{HistogramSummary, Snapshot};
-pub use span::{recent_spans, SpanGuard, SpanRecord};
+pub use span::SpanGuard;
 pub use trace::{
     global_recorder, AttrValue, FlightRecorder, TraceContext, TraceEvent, TraceId, TraceSpan,
     MAX_EVENT_ATTRS,
 };
 
 /// Opens an RAII span timer on the global registry; elapsed time lands in
-/// histogram `<name>.ns` when the guard drops, and the span is pushed
-/// onto the bounded trace buffer with its parent path.
+/// histogram `<name>.ns` when the guard drops.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {

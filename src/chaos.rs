@@ -32,24 +32,23 @@
 //! The same harness backs `tests/chaos_drill.rs` (CI, under pinned
 //! `AIMS_CHAOS_SEED`s), `aims-cli chaos` (the operator's drill button),
 //! and `aims-bench e31` (which adds the FIFO-vs-utility scheduling
-//! comparison and the perf-trajectory gate).
+//! comparison and the perf-trajectory gate). Its report implements the
+//! shared [`crate::drills::Report`].
 
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aims_acquisition::ingest::{IngestConfig, SupervisedIngest};
-use aims_acquisition::recorder::RecorderConfig;
-use aims_propolyne::cube::DataCube;
-use aims_propolyne::cube::WaveletCube;
-use aims_sensors::faulty::{FaultySensorRig, SensorFaultPlan};
-use aims_sensors::glove::CyberGloveRig;
-use aims_sensors::noise::NoiseSource;
+use aims_acquisition::ingest::RepairPolicy;
+use aims_propolyne::cube::{DataCube, WaveletCube};
+use aims_sensors::faulty::SensorFaultPlan;
 use aims_service::{
     Outcome, QosConfig, QueryService, QuerySpec, Refinement, ServiceConfig, ServiceError, Tier,
 };
 use aims_storage::device::{BlockDevice, RetryPolicy};
 use aims_storage::faults::{FaultPlan, FaultyDevice};
+
+use crate::drills::{ingest, json_object, Report, XorShift};
 
 /// Coefficients per storage block in every drill service.
 const BLOCK: usize = 16;
@@ -138,37 +137,69 @@ pub struct DrillReport {
 }
 
 impl DrillReport {
-    /// Every invariant violation across every phase.
-    pub fn violations(&self) -> Vec<String> {
-        self.phases.iter().flat_map(|p| p.violations.iter().cloned()).collect()
-    }
-
     /// True when no phase violated an invariant.
     pub fn passed(&self) -> bool {
         self.phases.iter().all(|p| p.violations.is_empty())
     }
+}
 
-    /// Machine-readable record (one JSON object) for CI gates.
-    pub fn to_json(&self) -> String {
+impl Report for DrillReport {
+    const NAME: &'static str = "composed chaos drill";
+
+    fn violations(&self) -> Vec<String> {
+        self.phases.iter().flat_map(|p| p.violations.iter().cloned()).collect()
+    }
+
+    fn fields(&self) -> Vec<(&'static str, String)> {
+        let phases: Vec<String> = self
+            .phases
+            .iter()
+            .map(|p| {
+                json_object(&[
+                    ("name", format!("\"{}\"", p.name)),
+                    ("submitted", p.submitted.to_string()),
+                    ("accepted", p.accepted.to_string()),
+                    ("rejected", p.rejected.to_string()),
+                    ("done", p.done.to_string()),
+                    ("shed", p.shed.to_string()),
+                    ("expired", p.expired.to_string()),
+                    ("degraded", p.degraded.to_string()),
+                    ("p99_ms", format!("{:.3}", p.p99_ms)),
+                    ("elapsed_ms", format!("{:.3}", p.elapsed_ms)),
+                    ("violations", p.violations.len().to_string()),
+                ])
+            })
+            .collect();
+        vec![
+            ("experiment", "\"chaos_drill\"".into()),
+            ("seed", self.seed.to_string()),
+            ("passed", self.passed().to_string()),
+            ("recovery_ms", format!("{:.3}", self.recovery_ms)),
+            ("shed_fraction", format!("{:.4}", self.shed_fraction)),
+            ("p99_overload_ms", format!("{:.3}", self.p99_overload_ms)),
+            ("phases", format!("[{}]", phases.join(","))),
+        ]
+    }
+
+    fn table(&self) -> String {
         let mut out = format!(
-            "{{\"experiment\":\"chaos_drill\",\"seed\":{},\"passed\":{},\
-             \"recovery_ms\":{:.3},\"shed_fraction\":{:.4},\"p99_overload_ms\":{:.3},\
-             \"violations\":{},\"phases\":[",
+            "{} (seed {}):\n{:>16} {:>7} {:>7} {:>7} {:>6} {:>6} {:>7} {:>6} {:>9} {:>9}\n",
+            Self::NAME,
             self.seed,
-            self.passed(),
-            self.recovery_ms,
-            self.shed_fraction,
-            self.p99_overload_ms,
-            self.violations().len(),
+            "phase",
+            "submit",
+            "accept",
+            "reject",
+            "done",
+            "shed",
+            "expire",
+            "degr",
+            "p99 ms",
+            "wall ms"
         );
-        for (k, p) in self.phases.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
+        for p in &self.phases {
             out.push_str(&format!(
-                "{{\"name\":\"{}\",\"submitted\":{},\"accepted\":{},\"rejected\":{},\
-                 \"done\":{},\"shed\":{},\"expired\":{},\"degraded\":{},\
-                 \"p99_ms\":{:.3},\"elapsed_ms\":{:.3},\"violations\":{}}}",
+                "{:>16} {:>7} {:>7} {:>7} {:>6} {:>6} {:>7} {:>6} {:>9.2} {:>9.0}\n",
                 p.name,
                 p.submitted,
                 p.accepted,
@@ -178,12 +209,13 @@ impl DrillReport {
                 p.expired,
                 p.degraded,
                 p.p99_ms,
-                p.elapsed_ms,
-                p.violations.len(),
+                p.elapsed_ms
             ));
         }
-        out.push_str("]}");
-        out
+        out + &format!(
+            "recovery {:.1} ms | shed fraction {:.3} | p99 overload {:.2} ms\n",
+            self.recovery_ms, self.shed_fraction, self.p99_overload_ms
+        )
     }
 }
 
@@ -244,29 +276,17 @@ fn p99(mut v: Vec<f64>) -> f64 {
     v[((v.len() - 1) as f64 * 0.99) as usize]
 }
 
-/// Seeded xorshift stream for workload generation.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-}
-
 /// `n` seeded 2-D range-sum specs over the drill cube: channel band ×
 /// time window, spans wide enough that plans overlap heavily (the
 /// shared-scan / utility-scheduler regime).
 fn drill_queries(seed: u64, n: usize) -> Vec<Vec<(usize, usize)>> {
-    let mut rng = Rng(seed | 1);
+    let mut rng = XorShift(seed | 1);
     (0..n)
         .map(|_| {
             DIMS.iter()
                 .map(|&d| {
-                    let lo = (rng.next() as usize) % (d / 2);
-                    let span = d / 3 + (rng.next() as usize) % (d / 2);
+                    let lo = (rng.next_u64() as usize) % (d / 2);
+                    let span = d / 3 + (rng.next_u64() as usize) % (d / 2);
                     (lo, (lo + span).min(d - 1))
                 })
                 .collect()
@@ -274,48 +294,29 @@ fn drill_queries(seed: u64, n: usize) -> Vec<Vec<(usize, usize)>> {
         .collect()
 }
 
-/// Records a glove session, replays it through a (possibly faulty)
-/// sensor link and the supervised ingest, and packs the repaired stream
-/// into a channels × time wavelet cube. Returns the cube plus any
-/// acquisition-side invariant violations (non-finite repaired samples,
-/// an empty stream).
+/// Runs the sensor-fault drill ([`ingest::run_on`]) over a seeded glove
+/// session and packs the repaired stream into a channels × time wavelet
+/// cube. Returns the cube plus any acquisition-side invariant violations
+/// (the drill's own, or an empty stream).
 pub fn sensor_cube(seed: u64, plan: &SensorFaultPlan) -> (WaveletCube, Vec<String>) {
-    let rig = CyberGloveRig::default();
-    let mut noise = NoiseSource::seeded(sub_seed(seed, 11));
-    let clean = rig.record_session(2.0, 0.6, &mut noise);
-    let wire = FaultySensorRig::new(plan.clone()).transmit(&clean);
-    let ingest = SupervisedIngest::new(IngestConfig {
-        // A buffer the recorder can never overrun: drill determinism
-        // must not depend on recorder thread timing.
-        recorder: RecorderConfig { buffer_frames: 1 << 16, batch_size: 64, store_latency_us: 0 },
-        ..IngestConfig::default()
-    });
-    let out = ingest.ingest(clean.spec(), &wire);
-
-    let mut violations = Vec::new();
+    let clean = ingest::session(sub_seed(seed, 11), 2.0);
+    let report = ingest::run_on(&clean, plan, RepairPolicy::Interpolate);
+    let mut violations: Vec<String> =
+        report.violations().iter().map(|v| format!("acquisition: {v}")).collect();
+    let out = &report.outcome;
     if out.stream.is_empty() {
         violations.push("acquisition: supervised ingest produced an empty stream".into());
     }
     let mut cube = DataCube::zeros(&DIMS);
     let (channels, frames) = (out.stream.channels().min(DIMS[0]), out.stream.len().min(DIMS[1]));
-    {
-        let values = cube.values_mut();
-        for c in 0..channels {
-            let signal = out.stream.channel(c);
-            for (t, &v) in signal.iter().take(frames).enumerate() {
-                if !v.is_finite() {
-                    violations
-                        .push(format!("acquisition: non-finite repaired sample ch{c} t{t} = {v}"));
-                }
-                values[c * DIMS[1] + t] = v;
-            }
-            // Pad by repeating the final value, matching the system
-            // facade's ingest (zeros would pollute coarse coefficients).
-            let last = signal.get(frames.saturating_sub(1)).copied().unwrap_or(0.0);
-            for t in frames..DIMS[1] {
-                values[c * DIMS[1] + t] = last;
-            }
-        }
+    let values = cube.values_mut();
+    for c in 0..channels {
+        let signal = out.stream.channel(c);
+        values[c * DIMS[1]..c * DIMS[1] + frames].copy_from_slice(&signal[..frames]);
+        // Pad by repeating the final value, matching the system facade's
+        // ingest (zeros would pollute coarse coefficients).
+        let last = signal.get(frames.saturating_sub(1)).copied().unwrap_or(0.0);
+        values[c * DIMS[1] + frames..(c + 1) * DIMS[1]].fill(last);
     }
     (cube.transform(&aims_dsp::filters::FilterKind::Db4.filter()), violations)
 }
@@ -475,39 +476,30 @@ fn flood_phase<D: BlockDevice + Send + Sync + 'static>(
                     let mut rejections = 0usize;
                     let handle = loop {
                         match svc.submit(spec.clone()) {
-                            Ok(h) => break Some(h),
+                            Ok(h) => break Ok(h),
                             Err(ServiceError::QueueFull { .. }) => {
                                 rejections += 1;
                                 if rejections > 50_000 {
-                                    break None;
+                                    break Err("starved out by rejections".to_string());
                                 }
                                 std::thread::sleep(Duration::from_micros(100));
                             }
-                            Err(e) => {
-                                tx.send(QueryRecord {
-                                    latency_ms: 0.0,
-                                    outcome: "rejected",
-                                    bound: f64::NAN,
-                                    violations: vec![format!(
-                                        "{name} t{t} q{k}: non-overload rejection: {e}"
-                                    )],
-                                })
-                                .ok();
-                                break None;
-                            }
+                            Err(e) => break Err(format!("non-overload rejection: {e}")),
                         }
                     };
-                    let Some(handle) = handle else {
-                        tx.send(QueryRecord {
-                            latency_ms: 0.0,
-                            outcome: "rejected",
-                            bound: f64::NAN,
-                            violations: vec![format!(
-                                "{name} t{t} q{k}: starved out by rejections"
-                            )],
-                        })
-                        .ok();
-                        continue;
+                    let handle = match handle {
+                        Ok(h) => h,
+                        Err(why) => {
+                            let violations = vec![format!("{name} t{t} q{k}: {why}")];
+                            tx.send(QueryRecord {
+                                latency_ms: 0.0,
+                                outcome: "rejected",
+                                bound: f64::NAN,
+                                violations,
+                            })
+                            .ok();
+                            continue;
+                        }
                     };
                     let accepted_at = Instant::now();
                     let (trace, outcome) = handle.collect();
@@ -560,6 +552,19 @@ fn flood_phase<D: BlockDevice + Send + Sync + 'static>(
     report
 }
 
+/// Serial ground-truth COUNT bits for each query, from the service's own
+/// engine.
+fn serial_bits(svc: &QueryService, queries: &[Vec<(usize, usize)>]) -> Vec<u64> {
+    queries
+        .iter()
+        .map(|ranges| {
+            let p =
+                svc.engine().prepare(&aims_propolyne::query::RangeSumQuery::count(ranges.clone()));
+            svc.engine().evaluate_prepared(&p).to_bits()
+        })
+        .collect()
+}
+
 /// Runs the full six-phase composed drill. Phases:
 ///
 /// 1. `baseline` — clean sensors, clean storage, calm load. Bit-exact.
@@ -580,14 +585,7 @@ pub fn run_drill(cfg: &ChaosConfig) -> DrillReport {
         sensor_cube(cfg.seed, &SensorFaultPlan::none(sub_seed(cfg.seed, 1)));
     let queries = drill_queries(sub_seed(cfg.seed, 2), cfg.load_queries);
     let svc = QueryService::new(clean_cube.clone(), BLOCK, calm_config(cfg.load_queries));
-    let expected: Vec<u64> = queries
-        .iter()
-        .map(|ranges| {
-            let p =
-                svc.engine().prepare(&aims_propolyne::query::RangeSumQuery::count(ranges.clone()));
-            svc.engine().evaluate_prepared(&p).to_bits()
-        })
-        .collect();
+    let expected = serial_bits(&svc, &queries);
     let mut baseline = calm_phase("baseline", &svc, &queries, Some(&expected));
     baseline.violations.splice(0..0, acq_violations);
     svc.shutdown();
@@ -614,14 +612,7 @@ pub fn run_drill(cfg: &ChaosConfig) -> DrillReport {
     // supervised ingest repairs it, clean storage serves it exactly.
     let (faulted_cube, acq_violations) = sensor_cube(cfg.seed, &drill_sensor_plan(cfg.seed));
     let svc = QueryService::new(faulted_cube.clone(), BLOCK, calm_config(cfg.load_queries));
-    let expected: Vec<u64> = queries
-        .iter()
-        .map(|ranges| {
-            let p =
-                svc.engine().prepare(&aims_propolyne::query::RangeSumQuery::count(ranges.clone()));
-            svc.engine().evaluate_prepared(&p).to_bits()
-        })
-        .collect();
+    let expected = serial_bits(&svc, &queries);
     let mut sensor = calm_phase("sensor-faults", &svc, &queries, Some(&expected));
     sensor.violations.splice(0..0, acq_violations);
     svc.shutdown();
@@ -644,7 +635,7 @@ pub fn run_drill(cfg: &ChaosConfig) -> DrillReport {
     // walk back to Normal with an empty registry, and a fresh query must
     // run undegraded (Done, not shed) — zero residual degradation.
     let drain_started = Instant::now();
-    let mut drain = PhaseReport { name: "drain".into(), ..PhaseReport::default() };
+    let mut stuck = Vec::new();
     let deadline = drain_started + cfg.drain_timeout;
     loop {
         let quiet = svc.qos_tier() == Tier::Normal
@@ -653,7 +644,7 @@ pub fn run_drill(cfg: &ChaosConfig) -> DrillReport {
             break;
         }
         if Instant::now() >= deadline {
-            drain.violations.push(format!(
+            stuck.push(format!(
                 "drain: service stuck at tier {:?} after {:?}",
                 svc.qos_tier(),
                 cfg.drain_timeout
@@ -663,15 +654,8 @@ pub fn run_drill(cfg: &ChaosConfig) -> DrillReport {
         std::thread::sleep(Duration::from_millis(2));
     }
     let recovery_ms = drain_started.elapsed().as_secs_f64() * 1e3;
-    let post = calm_phase("drain", &svc, &queries[..1.min(queries.len())], None);
-    drain.submitted = post.submitted;
-    drain.accepted = post.accepted;
-    drain.done = post.done;
-    drain.shed = post.shed;
-    drain.expired = post.expired;
-    drain.degraded = post.degraded;
-    drain.p99_ms = post.p99_ms;
-    drain.violations.extend(post.violations);
+    let mut drain = calm_phase("drain", &svc, &queries[..1.min(queries.len())], None);
+    drain.violations.splice(0..0, stuck);
     if drain.done != drain.submitted {
         drain.violations.push("drain: post-drain query did not run undegraded to Done".into());
     }

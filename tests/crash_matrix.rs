@@ -18,11 +18,13 @@
 //! seed (pinned here via `AIMS_CRASH_SEED`, default 52417; ci.sh also
 //! runs seeds 17 and 2029), so the whole matrix reproduces bit-for-bit.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 
+use aims::chaos::sub_seed;
+use aims::drills::durability::{check_recovery, replica, run_log, WriteLog};
+use aims::drills::{env_seed, DrillDir};
 use aims::storage::buffer::BufferPool;
-use aims::storage::device::{BlockDevice, MemDevice, RawMedia};
+use aims::storage::device::{BlockDevice, RawMedia};
 use aims::storage::file::{CrashPlan, DurabilityMode, FileDevice, FileDeviceOptions};
 use aims::storage::store::{AllocKind, WaveletStore};
 
@@ -30,22 +32,17 @@ const BLOCK: usize = 8;
 const NB: usize = 12;
 
 fn seed() -> u64 {
-    std::env::var("AIMS_CRASH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(52417)
+    env_seed("AIMS_CRASH_SEED", 52417)
 }
 
 /// SplitMix64 — the step-picking stream, independent of the device's
 /// torn-length stream.
 fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    sub_seed(x, 1)
 }
 
-fn test_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::SeqCst);
-    std::env::temp_dir().join(format!("aims-crash-{}-{tag}-{n}", std::process::id()))
+fn test_dir(tag: &str) -> DrillDir {
+    DrillDir::new(None, &format!("crash-{tag}"))
 }
 
 fn opts(mode: DurabilityMode, crash: CrashPlan) -> FileDeviceOptions {
@@ -53,9 +50,6 @@ fn opts(mode: DurabilityMode, crash: CrashPlan) -> FileDeviceOptions {
     // points) happen mid-workload, not only at close.
     FileDeviceOptions { mode, checkpoint_bytes: 400, crash, ..Default::default() }
 }
-
-/// One write in the canonical history: `(block, payload)`, LSN = index+1.
-type WriteLog = Vec<(usize, Vec<f64>)>;
 
 /// The workloads under test, as explicit write histories.
 fn workloads(seed: u64) -> Vec<(&'static str, WriteLog)> {
@@ -79,60 +73,21 @@ fn workloads(seed: u64) -> Vec<(&'static str, WriteLog)> {
     vec![("sequential", sequential), ("random", random)]
 }
 
-/// Applies the first `k` writes of `log` to fresh in-memory media.
-fn replica(log: &WriteLog, k: usize) -> MemDevice {
-    let mut m = MemDevice::new(BLOCK, NB);
-    for (b, p) in &log[..k] {
-        m.write_block(*b, p);
-    }
-    m
-}
-
-/// Whether `dev`'s payloads and checksums are bit-identical to `mem`'s.
-fn states_identical(dev: &FileDevice, mem: &MemDevice) -> bool {
-    (0..NB).all(|b| {
-        let d = dev.raw_payload(b);
-        let m = mem.raw_payload(b);
-        d.iter().zip(&m).all(|(x, y)| x.to_bits() == y.to_bits())
-            && dev.stored_checksum(b) == mem.stored_checksum(b)
-    })
-}
-
 /// Runs `log` against a fresh device in `dir`, stopping at a crash.
 /// Returns `(completed_writes, durable_lsn_at_crash, steps_taken)`.
-fn run_workload(dir: &PathBuf, o: FileDeviceOptions, log: &WriteLog) -> (usize, u64, u64) {
-    let mut dev = FileDevice::create(dir, BLOCK, NB, o).unwrap();
-    let mut completed = 0usize;
-    for (b, p) in log {
-        dev.write_block(*b, p);
-        if dev.is_crashed() {
-            break;
-        }
-        completed += 1;
-    }
+fn run_workload(dir: &DrillDir, o: FileDeviceOptions, log: &WriteLog) -> (usize, u64, u64) {
+    let (dev, completed) = run_log(dir.path(), BLOCK, NB, o, log).unwrap();
     (completed, dev.durable_lsn(), dev.steps_taken())
 }
 
-/// The core contract: the reopened device equals the committed prefix.
-/// Returns the matched prefix length.
-fn assert_recovers_prefix(
-    dir: &PathBuf,
-    log: &WriteLog,
-    durable_at_crash: u64,
-    label: &str,
-) -> usize {
+/// The core contract: the reopened device is bit-identical (payloads and
+/// stored checksums) to a committed prefix of `log` covering the acked
+/// frontier. Returns the matched prefix length.
+fn assert_recovers_prefix(dir: &Path, log: &WriteLog, durable_at_crash: u64, label: &str) -> usize {
     let dev = FileDevice::open(dir, FileDeviceOptions::default()).unwrap();
-    let r = dev.recovery();
-    assert!(
-        r.recovered_lsn >= durable_at_crash || r.recovered_lsn == 0,
-        "{label}: recovered lsn {} < durable {durable_at_crash} with a non-empty WAL",
-        r.recovered_lsn
-    );
-    let matched =
-        (durable_at_crash as usize..=log.len()).find(|&k| states_identical(&dev, &replica(log, k)));
-    let k = matched.unwrap_or_else(|| {
-        panic!("{label}: recovered state matches no committed prefix ≥ {durable_at_crash}")
-    });
+    let (matched, violations) = check_recovery(&dev, log, durable_at_crash, log.len());
+    assert_eq!(violations, Vec::<String>::new(), "{label}");
+    let k = matched.unwrap();
     assert!(
         k as u64 >= durable_at_crash,
         "{label}: matched prefix {k} below acked frontier {durable_at_crash}"
@@ -153,7 +108,7 @@ fn crash_matrix_recovers_committed_prefix() {
             if mode == DurabilityMode::Always {
                 assert_eq!(durable, log.len() as u64, "always mode acks every write");
             }
-            std::fs::remove_dir_all(&dir).unwrap();
+            drop(dir);
             assert!(steps > 0);
 
             for i in 0..8u64 {
@@ -172,9 +127,8 @@ fn crash_matrix_recovers_committed_prefix() {
                         "{label}: always mode acked {durable_at_crash} of {completed} completed"
                     );
                 }
-                let k = assert_recovers_prefix(&dir, &log, durable_at_crash, &label);
+                let k = assert_recovers_prefix(dir.path(), &log, durable_at_crash, &label);
                 assert!(k <= log.len());
-                std::fs::remove_dir_all(&dir).unwrap();
             }
         }
     }
@@ -186,7 +140,7 @@ fn fsync_always_never_loses_an_acked_write_at_any_step() {
     let log: WriteLog = workloads(seed).remove(0).1.into_iter().take(8).collect();
     let dir = test_dir("probe-all");
     let (_, _, steps) = run_workload(&dir, opts(DurabilityMode::Always, CrashPlan::none()), &log);
-    std::fs::remove_dir_all(&dir).unwrap();
+    drop(dir);
     // Exhaustive: every crash-eligible step, not a sample.
     for step in 0..steps {
         let dir = test_dir("sweep");
@@ -198,8 +152,7 @@ fn fsync_always_never_loses_an_acked_write_at_any_step() {
             "step {step}: completed write not acked ({durable_at_crash} < {completed})"
         );
         let label = format!("sweep step {step}");
-        assert_recovers_prefix(&dir, &log, durable_at_crash, &label);
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_recovers_prefix(dir.path(), &log, durable_at_crash, &label);
     }
 }
 
@@ -216,40 +169,20 @@ fn reopened_store_answers_range_sums_like_the_committed_prefix() {
     let nb = plain.device().num_blocks();
     let log: WriteLog = (0..nb).map(|b| (b, plain.device().raw_payload(b))).collect();
 
-    // Learn the step budget of a full durable load.
-    let dir = test_dir("store-probe");
-    let steps = {
-        let mut probe = WaveletStore::from_signal_on(&signal, BLOCK, AllocKind::TreeTiling, {
-            let dir = dir.clone();
-            move |bs, nb| {
-                FileDevice::create(
-                    dir,
-                    bs,
-                    nb,
-                    opts(DurabilityMode::Periodic(4), CrashPlan::none()),
-                )
-                .unwrap()
-            }
-        });
-        probe.device_mut().steps_taken()
+    // A durable load of the signal through a Periodic(4) WAL.
+    let load = |dir: &DrillDir, crash: CrashPlan| {
+        let dir = dir.path().to_path_buf();
+        WaveletStore::from_signal_on(&signal, BLOCK, AllocKind::TreeTiling, move |bs, nb| {
+            FileDevice::create(dir, bs, nb, opts(DurabilityMode::Periodic(4), crash)).unwrap()
+        })
     };
-    std::fs::remove_dir_all(&dir).unwrap();
+    // Learn the step budget of a full durable load.
+    let steps = load(&test_dir("store-probe"), CrashPlan::none()).device_mut().steps_taken();
 
     for i in 0..6u64 {
         let step = splitmix(seed ^ (0x5170 + i)) % steps;
         let dir = test_dir("store-crash");
-        let store = WaveletStore::from_signal_on(&signal, BLOCK, AllocKind::TreeTiling, {
-            let dir = dir.clone();
-            move |bs, nb| {
-                FileDevice::create(
-                    dir,
-                    bs,
-                    nb,
-                    opts(DurabilityMode::Periodic(4), CrashPlan::at(seed ^ i, step)),
-                )
-                .unwrap()
-            }
-        });
+        let store = load(&dir, CrashPlan::at(seed ^ i, step));
         let durable_at_crash = store.device().durable_lsn();
         assert!(store.device().is_crashed(), "step {step} must be within the load");
         drop(store);
@@ -257,36 +190,13 @@ fn reopened_store_answers_range_sums_like_the_committed_prefix() {
         // Reopen the recovered device and find the committed prefix it
         // equals; then the two reopened stores must agree bit-for-bit.
         let label = format!("store load, step {step}");
-        let k = {
-            // assert_recovers_prefix opens its own handle; reuse it for
-            // the prefix length, then reopen for the query store.
-            let nb_log: WriteLog = log.iter().map(|(b, p)| (*b, p.clone())).collect();
-            let dev = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
-            let matched = (durable_at_crash as usize..=nb_log.len()).find(|&kk| {
-                let mut m = MemDevice::new(BLOCK, nb);
-                for (b, p) in &nb_log[..kk] {
-                    m.write_block(*b, p);
-                }
-                (0..nb).all(|b| {
-                    let d = dev.raw_payload(b);
-                    let mm = m.raw_payload(b);
-                    d.iter().zip(&mm).all(|(x, y)| x.to_bits() == y.to_bits())
-                        && dev.stored_checksum(b) == m.stored_checksum(b)
-                })
-            });
-            matched.unwrap_or_else(|| panic!("{label}: no committed prefix matches"))
-        };
-
+        let k = assert_recovers_prefix(dir.path(), &log, durable_at_crash, &label);
         let recovered = WaveletStore::reopen(
-            FileDevice::open(&dir, FileDeviceOptions::default()).unwrap(),
+            FileDevice::open(dir.path(), FileDeviceOptions::default()).unwrap(),
             AllocKind::TreeTiling,
             N,
         );
-        let mut mem = MemDevice::new(BLOCK, nb);
-        for (b, p) in &log[..k] {
-            mem.write_block(*b, p);
-        }
-        let reference = WaveletStore::reopen(mem, AllocKind::TreeTiling, N);
+        let reference = WaveletStore::reopen(replica(&log, k, BLOCK, nb), AllocKind::TreeTiling, N);
 
         let mut p1 = BufferPool::new(16);
         let mut p2 = BufferPool::new(16);
@@ -300,7 +210,6 @@ fn reopened_store_answers_range_sums_like_the_committed_prefix() {
             let y = reference.point_value(t, &mut p2);
             assert_eq!(x.to_bits(), y.to_bits(), "{label}: point {t}");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -311,18 +220,17 @@ fn crash_matrix_is_reproducible_per_seed() {
     let dir = test_dir("probe-rep");
     let (_, _, steps) =
         run_workload(&dir, opts(DurabilityMode::Periodic(3), CrashPlan::none()), &log);
-    std::fs::remove_dir_all(&dir).unwrap();
+    drop(dir);
     let step = splitmix(seed ^ 0x9999) % steps;
 
     let run = |tag: &str| -> (u64, Vec<Vec<u64>>, u64, u64) {
         let dir = test_dir(tag);
         let plan = CrashPlan::at(seed, step);
         let (_, durable, _) = run_workload(&dir, opts(DurabilityMode::Periodic(3), plan), &log);
-        let dev = FileDevice::open(&dir, FileDeviceOptions::default()).unwrap();
+        let dev = FileDevice::open(dir.path(), FileDeviceOptions::default()).unwrap();
         let image: Vec<Vec<u64>> =
             (0..NB).map(|b| dev.raw_payload(b).iter().map(|v| v.to_bits()).collect()).collect();
         let r = dev.recovery();
-        std::fs::remove_dir_all(&dir).unwrap();
         (durable, image, r.replayed_records, r.truncated_bytes)
     };
     assert_eq!(run("rep-a"), run("rep-b"), "same seed, same crash, same recovery");

@@ -13,8 +13,10 @@
 //!
 //! Every fault decision derives from a single u64 seed (pinned here via
 //! `AIMS_FAULT_SEED`, default 41378; ci.sh also runs seeds 13 and 1013),
-//! so the whole matrix is reproducible bit-for-bit.
+//! so the whole matrix is reproducible bit-for-bit. Contract 1 and 2 per
+//! query are [`faults::check`], the storage-fault drill's own check.
 
+use aims::drills::{env_seed, faults};
 use aims::storage::buffer::BufferPool;
 use aims::storage::device::{BlockDevice, RetryPolicy};
 use aims::storage::error_tree::range_query_set;
@@ -25,7 +27,7 @@ const N: usize = 256;
 const BLOCK: usize = 8;
 
 fn seed() -> u64 {
-    std::env::var("AIMS_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(41378)
+    env_seed("AIMS_FAULT_SEED", 41378)
 }
 
 fn signal() -> Vec<f64> {
@@ -54,23 +56,16 @@ fn zero_rate_is_bit_identical_for_every_fault_kind() {
     for kind in FaultKind::ALL {
         let faulty = faulty_store(FaultPlan::uniform(s, kind, 0.0));
         for (a, b) in ranges() {
-            let mut p1 = BufferPool::new(64);
-            let mut p2 = BufferPool::new(64);
-            let expect = plain.range_sum(a, b, &mut p1);
-            let got = faulty.range_sum_outcome(a, b, &mut p2, &RetryPolicy::none());
-            assert_eq!(
-                expect.to_bits(),
-                got.value.to_bits(),
-                "{kind:?} zero-rate [{a},{b}] diverged"
-            );
+            let expect = plain.range_sum(a, b, &mut BufferPool::new(64));
+            let got =
+                faulty.range_sum_outcome(a, b, &mut BufferPool::new(64), &RetryPolicy::none());
             assert!(!got.degraded());
+            assert_eq!(faults::check(&format!("{kind:?} zero-rate [{a},{b}]"), expect, &got), None);
             assert_eq!(got.error_bound, 0.0);
         }
         for t in [0usize, 31, 130, 255] {
-            let mut p1 = BufferPool::new(64);
-            let mut p2 = BufferPool::new(64);
-            let expect = plain.point_value(t, &mut p1);
-            let got = faulty.point_value_outcome(t, &mut p2, &RetryPolicy::none());
+            let expect = plain.point_value(t, &mut BufferPool::new(64));
+            let got = faulty.point_value_outcome(t, &mut BufferPool::new(64), &RetryPolicy::none());
             assert_eq!(expect.to_bits(), got.value.to_bits(), "{kind:?} zero-rate t={t}");
         }
     }
@@ -99,32 +94,16 @@ fn transient_fault_matrix_recovers_or_degrades_predictably() {
                         .unwrap();
                     let policy = RetryPolicy { retries: budget, ..RetryPolicy::none() };
                     // Pool holds every touched block: each is fetched once.
-                    let mut pool = BufferPool::new(64);
-                    let got = faulty.range_sum_outcome(a, b, &mut pool, &policy);
+                    let got = faulty.range_sum_outcome(a, b, &mut BufferPool::new(64), &policy);
                     let should_degrade = worst > budget;
                     assert_eq!(
                         got.degraded(),
                         should_degrade,
                         "{kind:?} rate={rate} budget={budget} [{a},{b}]: worst streak {worst}"
                     );
-                    let mut p1 = BufferPool::new(64);
-                    let expect = plain.range_sum(a, b, &mut p1);
-                    if should_degrade {
-                        assert!(
-                            (got.value - expect).abs() <= got.error_bound + 1e-9,
-                            "{kind:?} rate={rate} budget={budget} [{a},{b}]: \
-                             |{} − {expect}| > {}",
-                            got.value,
-                            got.error_bound
-                        );
-                    } else {
-                        assert_eq!(
-                            expect.to_bits(),
-                            got.value.to_bits(),
-                            "{kind:?} rate={rate} budget={budget} [{a},{b}]: \
-                             recovered answer must be bit-identical"
-                        );
-                    }
+                    let expect = plain.range_sum(a, b, &mut BufferPool::new(64));
+                    let label = format!("{kind:?} rate={rate} budget={budget} [{a},{b}]");
+                    assert_eq!(faults::check(&label, expect, &got), None);
                 }
             }
         }
@@ -144,16 +123,10 @@ fn dead_blocks_degrade_regardless_of_retry_budget() {
     for (a, b) in ranges() {
         let set = range_query_set(a, b, N);
         let touches_dead = faulty.blocks_for(&set).iter().any(|blk| dead.contains(blk));
-        let mut pool = BufferPool::new(64);
-        let got = faulty.range_sum_outcome(a, b, &mut pool, &generous);
+        let got = faulty.range_sum_outcome(a, b, &mut BufferPool::new(64), &generous);
         assert_eq!(got.degraded(), touches_dead, "[{a},{b}] vs dead {dead:?}");
-        let mut p1 = BufferPool::new(64);
-        let expect = plain.range_sum(a, b, &mut p1);
-        if touches_dead {
-            assert!((got.value - expect).abs() <= got.error_bound + 1e-9);
-        } else {
-            assert_eq!(expect.to_bits(), got.value.to_bits(), "untouched query must stay exact");
-        }
+        let expect = plain.range_sum(a, b, &mut BufferPool::new(64));
+        assert_eq!(faults::check(&format!("[{a},{b}]"), expect, &got), None);
     }
 }
 
@@ -169,14 +142,10 @@ fn torn_writes_corrupt_permanently_until_rewrite() {
     for (a, b) in ranges() {
         let set = range_query_set(a, b, N);
         let touches_torn = faulty.blocks_for(&set).iter().any(|blk| torn.contains(blk));
-        let mut pool = BufferPool::new(64);
-        let got = faulty.range_sum_outcome(a, b, &mut pool, &generous);
+        let got = faulty.range_sum_outcome(a, b, &mut BufferPool::new(64), &generous);
         assert_eq!(got.degraded(), touches_torn, "[{a},{b}] vs torn {torn:?}");
-        if !touches_torn {
-            let mut p1 = BufferPool::new(64);
-            let expect = plain.range_sum(a, b, &mut p1);
-            assert_eq!(expect.to_bits(), got.value.to_bits());
-        }
+        let expect = plain.range_sum(a, b, &mut BufferPool::new(64));
+        assert_eq!(faults::check(&format!("[{a},{b}]"), expect, &got), None);
     }
 }
 
